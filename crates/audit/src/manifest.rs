@@ -90,6 +90,13 @@ fn strip_comment(line: &str) -> &str {
     line.split('#').next().unwrap_or("")
 }
 
+/// Whether a manifest's text opens a `[workspace]` table of its own —
+/// the mark of a separate Cargo workspace (a root manifest, or a package
+/// kept out of the enclosing workspace on purpose).
+pub(crate) fn declares_workspace(text: &str) -> bool {
+    text.lines().any(|raw| strip_comment(raw).trim() == "[workspace]")
+}
+
 /// Parses one manifest's text into the facts the lints use.
 fn parse_manifest(text: &str) -> CrateManifest {
     let mut features: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -244,6 +251,14 @@ default-features = false
         assert!(m.forbids_unsafe);
         let m = parse_manifest("[workspace.lints.rust]\nunsafe_code = \"deny\"\n");
         assert!(!m.forbids_unsafe);
+    }
+
+    #[test]
+    fn own_workspace_table_is_detected() {
+        assert!(declares_workspace("[package]\nname = \"x\"\n\n[workspace]\n"));
+        assert!(declares_workspace("[workspace] # standalone\nmembers = []\n"));
+        assert!(!declares_workspace("[workspace.lints.rust]\nunsafe_code = \"forbid\"\n"));
+        assert!(!declares_workspace("[package]\n# [workspace]\n[lints]\nworkspace = true\n"));
     }
 
     #[test]

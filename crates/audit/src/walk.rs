@@ -7,6 +7,12 @@ const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "runs", "results", "fi
 
 /// Collects every `.rs` file under `root`, sorted by path so the walk
 /// (and therefore diagnostic order and the allowlist) is deterministic.
+///
+/// A directory below `root` whose `Cargo.toml` declares its own
+/// `[workspace]` is a separate Cargo workspace (the `perfbench`
+/// benchmark, say): Cargo builds, tests and lints it apart from this
+/// one, so the audit skips it too rather than judge it as library code
+/// of the root package.
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -20,7 +26,8 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
         for path in entries {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name) && !name.starts_with('.') {
+                if !SKIP_DIRS.contains(&name) && !name.starts_with('.') && !is_own_workspace(&path)
+                {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -30,6 +37,12 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     }
     out.sort();
     Ok(out)
+}
+
+/// Whether `dir` holds a `Cargo.toml` that declares its own `[workspace]`.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|text| crate::manifest::declares_workspace(&text))
 }
 
 /// Where a source file sits in the workspace — drives which lints apply.
@@ -122,6 +135,18 @@ mod tests {
         assert!(!classify("crates/core/src/llc.rs").is_crate_root);
         let bin = classify("crates/experiments/src/bin/simulate.rs");
         assert!(bin.is_bin && !bin.is_crate_root);
+    }
+
+    #[test]
+    fn nested_workspaces_are_not_walked() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/nested_workspace");
+        let found = collect_rs_files(&root).expect("walk the fixture");
+        let rel: Vec<_> =
+            found.iter().map(|p| p.strip_prefix(&root).expect("under root")).collect();
+        assert_eq!(rel, [Path::new("crates/core/src/lib.rs")], "bench/ has its own [workspace]");
+        let diags = crate::lints::run_lints(&root, &crate::lints::Allowlist::default())
+            .expect("lint the fixture");
+        assert!(diags.is_empty(), "nothing under bench/ is linted: {diags:?}");
     }
 
     #[test]

@@ -3,43 +3,9 @@
 use crate::audit::ReferenceArray;
 use crate::config::CacheGeometry;
 use crate::meta::{EvictedLine, LineMeta};
+use nucache_common::tags::eq_mask;
 use nucache_common::{CoreId, LineAddr, Pc};
 use std::cell::Cell;
-
-/// Tag-equality bitmask over a row of exactly `N` tags: bit `i` is set
-/// when `row[i] == tag`. The const trip count lets the compiler unroll
-/// and auto-vectorize the compares (u64x4-wide compare + movemask on
-/// SSE/AVX targets). Returns 0 when `row.len() != N`; callers dispatch
-/// on the length, so the mismatch arm is unreachable.
-#[inline(always)]
-fn eq_mask<const N: usize>(row: &[u64], tag: u64) -> u64 {
-    debug_assert_eq!(row.len(), N, "eq_mask dispatched with the wrong width");
-    let mut m = 0u64;
-    if let Ok(arr) = <&[u64; N]>::try_from(row) {
-        for (i, &t) in arr.iter().enumerate() {
-            m |= u64::from(t == tag) << i;
-        }
-    }
-    m
-}
-
-/// [`eq_mask`] for uncommon associativities: the same compare, four ways
-/// per step, with a runtime trip count.
-fn eq_mask_any(row: &[u64], tag: u64) -> u64 {
-    let (quads, tail) = row.split_at(row.len() & !3);
-    let mut matches = 0u64;
-    for (qi, q) in quads.chunks_exact(4).enumerate() {
-        let m = u64::from(q[0] == tag)
-            | u64::from(q[1] == tag) << 1
-            | u64::from(q[2] == tag) << 2
-            | u64::from(q[3] == tag) << 3;
-        matches |= m << (4 * qi);
-    }
-    for (j, &t) in tail.iter().enumerate() {
-        matches |= u64::from(t == tag) << (quads.len() + j);
-    }
-    matches
-}
 
 /// Tag/metadata storage for a set-associative structure, with no
 /// replacement policy of its own.
@@ -192,23 +158,16 @@ impl SetArray {
 
     /// Way holding `tag` in `set`, if resident.
     ///
-    /// The compare runs u64x4-wide over the packed tag row: the row is
-    /// sliced once (one bounds check) and compared with a compile-time
-    /// trip count for the common associativities, so the compiler fully
-    /// unrolls each row into SIMD compare + movemask steps instead of a
-    /// scalar compare-per-way loop it cannot unroll.
+    /// The compare ([`eq_mask`]) runs u64x4-wide over the packed tag
+    /// row: the row is sliced once (one bounds check) and compared with
+    /// a compile-time trip count for the common associativities, so the
+    /// compiler fully unrolls each row into SIMD compare + movemask
+    /// steps instead of a scalar compare-per-way loop it cannot unroll.
     #[inline]
     pub fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = self.base(set);
         let assoc = self.geom.associativity();
-        let row = &self.tags[base..base + assoc];
-        let matches = match assoc {
-            16 => eq_mask::<16>(row, tag),
-            8 => eq_mask::<8>(row, tag),
-            4 => eq_mask::<4>(row, tag),
-            _ => eq_mask_any(row, tag),
-        };
-        let hits = matches & self.valid[set];
+        let hits = eq_mask(&self.tags[base..base + assoc], tag) & self.valid[set];
         let found = if hits == 0 { None } else { Some(hits.trailing_zeros() as usize) };
         if let Some(m) = &self.mirror {
             self.audit_read("find", &found, &m.find(set, tag));

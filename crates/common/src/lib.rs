@@ -7,8 +7,9 @@
 //! CSV reporting helpers used by the experiment binaries, the
 //! epoch-level [`telemetry`] event model (with its dependency-free
 //! [`json`] substrate) that the simulator's JSONL streams and run
-//! manifests are built on, and the seeded [`fault`]-injection plan the
-//! pipeline's fault-tolerance paths are exercised with.
+//! manifests are built on, the seeded [`fault`]-injection plan the
+//! pipeline's fault-tolerance paths are exercised with, and the
+//! whole-row [`tags`] compare every set-associative probe uses.
 //!
 //! # Examples
 //!
@@ -39,6 +40,7 @@ pub mod rng;
 pub mod stats;
 #[cfg(feature = "std")]
 pub mod table;
+pub mod tags;
 #[cfg(feature = "std")]
 pub mod telemetry;
 

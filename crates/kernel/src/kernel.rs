@@ -9,6 +9,7 @@ use alloc::vec;
 use alloc::vec::Vec;
 use core::fmt::Debug;
 use core::mem;
+use nucache_common::tags::eq_mask;
 
 /// Candidate classes included per [`EpochSummary`] snapshot; enough to
 /// cover every realistic chosen set (DeliWays ≤ 16) with headroom for
@@ -23,6 +24,15 @@ const fn low_mask(n: usize) -> u64 {
     } else {
         (1u64 << n) - 1
     }
+}
+
+/// `classes` as a chosen set: sorted and deduplicated, so membership is
+/// a binary search over a slice.
+fn class_set<C: Copy + Ord>(classes: &[C]) -> Vec<C> {
+    let mut set = classes.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    set
 }
 
 /// Which region of a set an entry was found in.
@@ -234,8 +244,11 @@ struct Mirror {
 ///
 /// A `get` that hits in the MainWays allocates nothing: it updates an
 /// LRU stamp and (on 1-in-`2^monitor_shift` sampled sets) bumps a
-/// preallocated clock. Every tolerated exception is enumerated here,
-/// carries an `// audit:allow-alloc(..)` annotation at the site, and is
+/// preallocated clock. The steps every access takes walk no tree: the
+/// tag probe is one whole-row compare, the chosen-set test a binary
+/// search over a sorted slice, and the miss tracker a flat table. Every
+/// tolerated exception is enumerated here, carries an
+/// `// audit:allow-alloc(..)` annotation at the site, and is
 /// cross-referenced by tag in `crates/audit/hotpath.txt` — the
 /// `nucache-audit effects` gate keeps all three in sync:
 ///
@@ -246,8 +259,11 @@ struct Mirror {
 ///   lazily create that class's histogram; bounded by live classes.
 /// * `deli-class-counter` — a MainWays retirement bumps a per-class
 ///   fill counter, creating the entry on a class's first retirement.
-/// * `tracker-class-table` — a miss records delinquency into a
-///   capacity-capped per-class table, evicting the coldest class.
+/// * `tracker-class-table` — a miss from an untracked class inserts it
+///   into the tracker's per-class table. [`DelinquentTracker::new`]
+///   allocates the table at its full capacity, so the insert only
+///   shifts entries and the table never grows after `new`; once it is
+///   full, the coldest class is reclaimed in place.
 /// * `audit-mirror-residency` — with [`enable_audit`](Self::enable_audit)
 ///   on, fills record the tag in a reference residency set; the audit
 ///   mirror is a test harness and never runs in measured configurations.
@@ -290,8 +306,14 @@ pub struct NucacheKernel<V, C = crate::InsertionClass> {
     /// missing, so its continued delinquency (and its true FIFO
     /// pressure) shows up here rather than in the miss tracker.
     deli_fills_by_class: BTreeMap<C, u64>,
-    chosen: BTreeSet<C>,
+    /// Classes admitted to the DeliWays: sorted and deduplicated, at most
+    /// `max_candidates` from a selection.
+    chosen: Vec<C>,
     last_selection: Selection<C>,
+    /// Key of the latest `get` miss, consumed by the next `put`. While
+    /// it is `Some(k)`, `k` is not resident: only `put` makes a key
+    /// resident, and every `put` clears it.
+    last_miss: Option<u64>,
     /// Accesses in the current decay window — the denominator the
     /// fill-rate (lifetime) estimate pairs with the fill counts.
     window_accesses: u64,
@@ -343,8 +365,9 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
             ),
             tracker: DelinquentTracker::new(256.max(config.max_candidates)),
             deli_fills_by_class: BTreeMap::new(),
-            chosen: BTreeSet::new(),
+            chosen: Vec::new(),
             last_selection: Selection { chosen: Vec::new(), expected_hits: 0, extra_lifetime: 0 },
+            last_miss: None,
             window_accesses: 0,
             accesses_in_epoch: 0,
             epochs: 0,
@@ -384,20 +407,20 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
         set * self.config.ways + way
     }
 
-    /// Resident way holding `tag` in `set`, if any.
+    /// Resident way holding `tag` in `set`, if any: one compare over
+    /// the set's whole tag row, masked by its valid ways.
+    #[inline]
+    fn way_of(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.config.ways;
+        let hits = eq_mask(&self.tags[base..base + self.config.ways], tag) & self.valid[set];
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// [`way_of`](Self::way_of), cross-checked against the audit mirror
+    /// when auditing is on.
     #[inline]
     fn find(&mut self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.config.ways;
-        let mut m = self.valid[set];
-        let mut found = None;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                found = Some(w);
-                break;
-            }
-            m &= m - 1;
-        }
+        let found = self.way_of(set, tag);
         if let Some(mir) = &mut self.mirror {
             mir.ops += 1;
             assert_eq!(
@@ -508,7 +531,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     fn retire_from_main(&mut self, set: usize, victim: Displaced<V, C>) -> Option<Evicted<V, C>> {
         let key = self.key_of(set, victim.tag);
         self.monitor.on_evict(key, victim.class);
-        if self.deli_ways == 0 || !self.chosen.contains(&victim.class) {
+        if self.deli_ways == 0 || !self.is_chosen(victim.class) {
             return Some(Evicted { key, class: victim.class, value: victim.value });
         }
         let slot = self.deli_slot(set);
@@ -545,6 +568,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
 
         let Some(way) = self.find(set, tag) else {
             self.misses += 1;
+            self.last_miss = Some(key);
             self.tracker.record_miss(class);
             self.monitor.on_next_use(key);
             return Lookup::Miss;
@@ -600,17 +624,21 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     /// cache, if any.
     ///
     /// If `key` is already resident its class and value are replaced in
-    /// place without touching replacement state.
+    /// place without touching replacement state. A `put` right after a
+    /// `get` that missed on the same key skips the residency probe: that
+    /// miss already proved the key absent.
     // audit:hot-path
     pub fn put(&mut self, key: u64, class: C, value: V) -> Option<Evicted<V, C>> {
         let set = self.set_of(key);
         let tag = self.tag_of(key);
-        if let Some(way) = self.find(set, tag) {
-            let f = self.frame(set, way);
-            let stored = self.entries[f].as_mut().expect("resident entry");
-            stored.class = class;
-            stored.value = value;
-            return None;
+        if self.last_miss.take() != Some(key) {
+            if let Some(way) = self.find(set, tag) {
+                let f = self.frame(set, way);
+                let stored = self.entries[f].as_mut().expect("resident entry");
+                stored.class = class;
+                stored.value = value;
+                return None;
+            }
         }
         let (way, leaving) = match self.free_main_way(set) {
             Some(w) => (w, None),
@@ -652,17 +680,8 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     /// The stored value of `key`, without perturbing any state.
     pub fn peek(&self, key: u64) -> Option<&V> {
         let set = self.set_of(key);
-        let tag = self.tag_of(key);
-        let base = set * self.config.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return self.entries[base + w].as_ref().map(|s| &s.value);
-            }
-            m &= m - 1;
-        }
-        None
+        let way = self.way_of(set, self.tag_of(key))?;
+        self.entries[self.frame(set, way)].as_ref().map(|s| &s.value)
     }
 
     // ---- epoch machinery --------------------------------------------------
@@ -746,7 +765,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
             self.config.strategy,
             self.config.seed ^ self.epochs,
         );
-        self.chosen = self.last_selection.chosen.iter().copied().collect();
+        self.chosen = class_set(&self.last_selection.chosen);
         if self.telemetry {
             let summary = self.epoch_summary(&top);
             self.pending_epochs.push(summary);
@@ -857,7 +876,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     /// before the next chosen-consulting operation, deferred equals
     /// inline bit-for-bit, telemetry included.
     pub fn install_selection(&mut self, inputs: EpochInputs<C>, selection: Selection<C>) {
-        self.chosen = selection.chosen.iter().copied().collect();
+        self.chosen = class_set(&selection.chosen);
         self.last_selection = selection;
         if self.audit.is_some() {
             self.audit_selection_check(&inputs.candidates, inputs.accesses);
@@ -868,7 +887,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
                 summary.expected_hits = self.last_selection.expected_hits;
                 summary.extra_lifetime = self.last_selection.extra_lifetime;
                 for snap in &mut summary.top_classes {
-                    snap.chosen = self.chosen.contains(&snap.class);
+                    snap.chosen = self.is_chosen(snap.class);
                 }
                 self.pending_epochs.push(summary);
             }
@@ -886,7 +905,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
             .map(|&(class, fills)| ClassSnapshot {
                 class,
                 fills,
-                chosen: self.chosen.contains(&class),
+                chosen: self.is_chosen(class),
                 samples: self.monitor.histogram(class).map_or(0, |h| h.total()),
                 p25: quant(class, 0.25),
                 p50: quant(class, 0.5),
@@ -1034,7 +1053,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     /// the candidates and access denominator the selector actually used
     /// (the deferred path replays them from the taken inputs).
     fn audit_selection_check(&mut self, candidates: &[Candidate<C>], accesses: u64) {
-        let from_selection: BTreeSet<C> = self.last_selection.chosen.iter().copied().collect();
+        let from_selection = class_set(&self.last_selection.chosen);
         assert!(
             self.chosen == from_selection,
             "audit: admitted class set {:?} disagrees with the selection {:?}",
@@ -1123,9 +1142,13 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
 
     /// Classes currently admitted to the DeliWays, ascending.
     pub fn chosen_classes(&self) -> Vec<C> {
-        let mut v: Vec<C> = self.chosen.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.chosen.clone()
+    }
+
+    /// Whether `class` is admitted to the DeliWays.
+    #[inline]
+    fn is_chosen(&self, class: C) -> bool {
+        self.chosen.binary_search(&class).is_ok()
     }
 
     /// The outcome of the most recent selection pass.
@@ -1214,7 +1237,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     /// tenant's entries to be retained while gathering evidence); the
     /// normal path is to let the epoch selection decide.
     pub fn force_chosen(&mut self, classes: &[C]) {
-        self.chosen = classes.iter().copied().collect();
+        self.chosen = class_set(classes);
     }
 }
 
@@ -1422,6 +1445,129 @@ mod tests {
         }
         assert!(k.len() <= k.capacity());
         assert!(k.deli_occupancy() <= k.deli_capacity());
+    }
+
+    /// Geometries for the probe tests: one way, an odd width, and the
+    /// full 64-bit valid mask.
+    const PROBE_GEOMETRIES: [(usize, usize); 3] = [(1, 0), (5, 2), (64, 8)];
+
+    /// A 4-set kernel under the audit mirror, which checks every probe
+    /// against its reference residency and panics if a fill duplicates a
+    /// resident tag. Class 1 is chosen and DeliWays hits promote.
+    fn audited(ways: usize, deli: usize) -> Kernel {
+        let mut config = cfg(4, ways, deli);
+        config.promote_on_deli_hit = true;
+        let mut k = Kernel::init(config).expect("valid config");
+        k.enable_audit();
+        k.force_chosen(&[class(1)]);
+        k
+    }
+
+    /// Keys of set 0 in a 4-set kernel.
+    fn set0(n: u64) -> u64 {
+        n * 4
+    }
+
+    /// `len` counts each resident key once.
+    fn assert_resident_once(k: &Kernel, keys: &[u64]) {
+        let resident = keys.iter().filter(|&&key| k.contains(key)).count();
+        assert_eq!(k.len(), resident, "a resident key is stored exactly once");
+    }
+
+    #[test]
+    fn whole_row_probe_finds_every_way() {
+        for (ways, deli) in PROBE_GEOMETRIES {
+            let mut k = audited(ways, deli);
+            let main = (ways - deli) as u64;
+            for n in 0..main {
+                k.put(set0(n), class(2), n as u32);
+            }
+            for n in 0..main {
+                assert_eq!(k.peek(set0(n)), Some(&(n as u32)), "{ways} ways, key {n}");
+                assert!(k.get(set0(n), class(2)).is_hit());
+            }
+            assert!(!k.contains(set0(main)));
+            assert!(k.remove(set0(0)).is_some());
+            assert!(!k.contains(set0(0)), "a stale tag in an invalid way never matches");
+            assert_resident_once(&k, &(0..main).map(set0).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn put_after_its_own_miss_skips_the_probe() {
+        for (ways, deli) in PROBE_GEOMETRIES {
+            let mut k = audited(ways, deli);
+            let before = k.audit_ops();
+            assert!(!k.get(set0(1), class(1)).is_hit());
+            assert!(k.put(set0(1), class(1), 7).is_none());
+            // One mirrored probe (the get) and one fill: no second probe.
+            assert_eq!(k.audit_ops() - before, 2, "{ways} ways");
+            assert_eq!(k.peek(set0(1)), Some(&7));
+        }
+    }
+
+    #[test]
+    fn miss_then_put_of_another_key_then_put() {
+        for (ways, deli) in PROBE_GEOMETRIES {
+            let mut k = audited(ways, deli);
+            let (key, other) = (set0(1), set0(2));
+            assert!(!k.get(key, class(1)).is_hit());
+            k.put(other, class(1), 2);
+            k.put(key, class(1), 1);
+            assert_eq!(k.peek(key), Some(&1), "{ways} ways");
+            assert_resident_once(&k, &[key, other]);
+        }
+    }
+
+    #[test]
+    fn miss_then_deli_hit_promotion_then_put() {
+        for (ways, deli) in PROBE_GEOMETRIES.into_iter().filter(|&(_, d)| d > 0) {
+            let mut k = audited(ways, deli);
+            let main = (ways - deli) as u64;
+            // One key more than the MainWays hold: key 0 retires into
+            // the DeliWays.
+            for n in 0..=main {
+                access(&mut k, 1, set0(n));
+            }
+            let key = set0(main + 1);
+            assert!(!k.get(key, class(1)).is_hit());
+            match k.get(set0(0), class(1)) {
+                Lookup::Hit { region, .. } => assert_eq!(region, Region::Deli, "{ways} ways"),
+                Lookup::Miss => panic!("key 0 must hit in the DeliWays"),
+            }
+            k.put(key, class(1), 9);
+            assert_eq!(k.peek(key), Some(&9));
+            assert_resident_once(&k, &(0..=main + 1).map(set0).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn miss_then_remove_then_put() {
+        for (ways, deli) in PROBE_GEOMETRIES {
+            let mut k = audited(ways, deli);
+            let key = set0(3);
+            k.put(set0(1), class(1), 1);
+            assert!(!k.get(key, class(1)).is_hit());
+            assert!(k.remove(key).is_none(), "the key was never resident");
+            k.put(key, class(1), 3);
+            assert_eq!(k.peek(key), Some(&3), "{ways} ways");
+            assert_resident_once(&k, &[set0(1), key]);
+        }
+    }
+
+    #[test]
+    fn miss_then_put_twice_replaces_in_place() {
+        for (ways, deli) in PROBE_GEOMETRIES {
+            let mut k = audited(ways, deli);
+            let key = set0(5);
+            assert!(!k.get(key, class(1)).is_hit());
+            assert!(k.put(key, class(1), 1).is_none());
+            let len = k.len();
+            assert!(k.put(key, class(2), 2).is_none(), "a resident key is replaced, not refilled");
+            assert_eq!(k.len(), len, "{ways} ways");
+            assert_eq!(k.peek(key), Some(&2));
+            assert_resident_once(&k, &[key]);
+        }
     }
 
     #[test]

@@ -116,6 +116,11 @@
 #![cfg_attr(not(feature = "std"), no_std)]
 
 extern crate alloc;
+// Unit tests always link std; the property tests' harness needs its
+// macros and paths in the `no_std + alloc` build too.
+#[cfg(all(test, not(feature = "std")))]
+#[macro_use]
+extern crate std;
 
 pub mod class;
 #[cfg(feature = "concurrent")]

@@ -10,7 +10,10 @@
 //!    and exactly one pending snapshot is installed exactly once,
 //! 3. poisoned-shard recovery: a request batch panicking under the
 //!    shard lock poisons only that shard, and the next access recovers
-//!    it via `PoisonError::into_inner`, counting the recovery.
+//!    it via `PoisonError::into_inner`, counting the recovery,
+//! 4. two requests missing on one key and both putting it: the real
+//!    kernel behind the shard lock keeps the key resident exactly once,
+//!    whichever `put` consumes the key its `get` miss left behind.
 //!
 //! Like `interleave_seams.rs`, the models mirror the *shapes* in
 //! `crates/kernel/src/concurrent.rs` but swap `std::sync` for the
@@ -18,6 +21,7 @@
 //! schedule, not just the ones the OS produces.
 
 use nucache_common::interleave::{spawn, AtomicUsize, Explorer, Mutex, DEFAULT_PREEMPTION_BOUND};
+use nucache_kernel::{InsertionClass, KernelConfig, NucacheKernel};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, PoisonError};
@@ -157,6 +161,47 @@ fn a_panicking_batch_poisons_one_shard_and_the_next_access_recovers_it() {
         // Recovery count depends on schedule (the survivor may win the
         // race and see a clean lock), but never exceeds one here.
         assert!(recoveries.load(Ordering::SeqCst) <= 1);
+    });
+    assert!(stats.schedules > 1, "the seam must actually branch: {stats:?}");
+}
+
+/// A get-then-put request against a real kernel shard, as the
+/// front-end serves it: the lookup and the fill are separate critical
+/// sections, so the other request can run in between.
+fn serve_kernel(shard: &Mutex<NucacheKernel<u64>>, key: u64, value: u64) -> bool {
+    let tenant = InsertionClass::new(1);
+    let hit = shard.lock().unwrap_or_else(PoisonError::into_inner).get(key, tenant).is_hit();
+    if !hit {
+        shard.lock().unwrap_or_else(PoisonError::into_inner).put(key, tenant, value);
+    }
+    hit
+}
+
+#[test]
+fn two_misses_then_two_puts_of_one_key_leave_it_resident_once() {
+    let stats = Explorer::with_bound(DEFAULT_PREEMPTION_BOUND).explore(|| {
+        let config = KernelConfig::default().with_sets(4).with_ways(4).with_deli_ways(2);
+        let mut kernel = NucacheKernel::init(config).expect("valid config");
+        // The audit mirror checks every probe and panics on a fill that
+        // duplicates a resident tag.
+        kernel.enable_audit();
+        let shard = Arc::new(Mutex::new(kernel));
+        let t1 = {
+            let shard = Arc::clone(&shard);
+            spawn(move || serve_kernel(&shard, 7, 1))
+        };
+        let t2 = {
+            let shard = Arc::clone(&shard);
+            spawn(move || serve_kernel(&shard, 7, 2))
+        };
+        let h1 = t1.join().expect("request 1 completes");
+        let h2 = t2.join().expect("request 2 completes");
+        let k = shard.lock().unwrap_or_else(PoisonError::into_inner);
+        assert!(k.contains(7), "the key is resident after both requests");
+        assert_eq!(k.len(), 1, "the key is stored exactly once");
+        assert!(matches!(k.peek(7), Some(&1) | Some(&2)), "the value is one request's");
+        assert_eq!(k.hits(), u64::from(h1) + u64::from(h2), "hits match what the requests saw");
+        assert_eq!(k.hits() + k.misses(), 2);
     });
     assert!(stats.schedules > 1, "the seam must actually branch: {stats:?}");
 }
