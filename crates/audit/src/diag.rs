@@ -30,7 +30,7 @@ pub struct Diagnostic {
     pub file: String,
     /// 1-indexed line number (0 for whole-file findings).
     pub line: usize,
-    /// Lint name, e.g. `nondeterministic-iteration`.
+    /// Lint name, e.g. `counter-dataflow`.
     pub lint: &'static str,
     /// Human-readable description of the violation.
     pub message: String,
@@ -105,8 +105,8 @@ mod tests {
         Diagnostic {
             file: "crates/core/src/llc.rs".into(),
             line: 42,
-            lint: "nondeterministic-iteration",
-            message: "bare HashMap in simulator crate".into(),
+            lint: "counter-dataflow",
+            message: "write-only counter".into(),
             severity: Severity::Error,
         }
     }
@@ -115,7 +115,7 @@ mod tests {
     fn text_rendering_is_rustc_style() {
         assert_eq!(
             sample().to_string(),
-            "crates/core/src/llc.rs:42: error[nondeterministic-iteration]: bare HashMap in simulator crate"
+            "crates/core/src/llc.rs:42: error[counter-dataflow]: write-only counter"
         );
     }
 
@@ -130,7 +130,7 @@ mod tests {
         let j = to_json(&[sample()]);
         assert!(j.contains("\"violations\": 1"));
         assert!(j.contains("\"line\": 42"));
-        assert!(j.contains("\"lint\": \"nondeterministic-iteration\""));
+        assert!(j.contains("\"lint\": \"counter-dataflow\""));
         let quoted = Diagnostic { message: "say \"hi\"\n".into(), ..sample() };
         let j = to_json(&[quoted]);
         assert!(j.contains("say \\\"hi\\\"\\n"));

@@ -637,6 +637,27 @@ fn extract_body(toks: &[Token], scanned: &crate::lexer::ScannedFile, info: &mut 
     let mut i = body.start;
     while i < body.end {
         let t = &toks[i];
+        // Attributes (`#[..]`, `#![..]`) are not code: skip them whole, so
+        // `#[expect(clippy::..)]` is not taken for a call to `expect`.
+        if t.is_punct("#") {
+            let open = if i + 1 < body.end && toks[i + 1].is_punct("!") { i + 2 } else { i + 1 };
+            if open < body.end && toks[open].is_punct("[") {
+                let mut depth = 0usize;
+                i = open;
+                while i < body.end {
+                    depth = match toks[i].text.as_str() {
+                        "[" => depth + 1,
+                        "]" => depth - 1,
+                        _ => depth,
+                    };
+                    i += 1;
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                continue;
+            }
+        }
         // Indexing: `expr[..]` — `[` preceded by an ident, `)` or `]`.
         // Attribute brackets (`#[..]`), slice types (`&[u8]`) and array
         // literals (`= [`) all fail the predecessor test.
@@ -847,6 +868,19 @@ mod tests {
              }\n",
         );
         assert!(fns[0].direct.is_pure(), "got {:?}", fns[0].sites);
+    }
+
+    #[test]
+    fn lint_attributes_in_bodies_are_not_calls() {
+        let fns = extract(
+            "fn f(x: u64) -> u32 {\n\
+             \x20   #[expect(clippy::cast_possible_truncation, reason = \"x < 2^32\")]\n\
+             \x20   let y = x as u32;\n\
+             \x20   y\n\
+             }\n",
+        );
+        assert!(fns[0].direct.is_pure(), "got {:?}", fns[0].sites);
+        assert!(fns[0].calls.is_empty(), "got {:?}", fns[0].calls);
     }
 
     #[test]

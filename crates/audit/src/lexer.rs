@@ -2,8 +2,8 @@
 //!
 //! Produces, for each file, a *blanked* copy of the source in which
 //! comments, string literals and char literals are replaced by spaces
-//! (newlines preserved), so the lint passes can do plain substring
-//! matching without tripping over `"HashMap"` in a doc string. Comment
+//! (newlines preserved), so the passes can do plain substring matching
+//! without tripping over `"Mutex"` in a doc string. Comment
 //! text is not discarded entirely: `nucache-audit: allow(...)`
 //! suppression directives are parsed out of it.
 
@@ -380,13 +380,13 @@ mod tests {
     #[test]
     fn suppressions_are_parsed() {
         let s = scan(
-            "// nucache-audit: allow(unwrap-in-lib) -- startup only\nfoo();\n\
-             // nucache-audit: allow-file(wall-clock-in-sim)\n",
+            "// nucache-audit: allow(counter-dataflow) -- read by the report\nfoo();\n\
+             // nucache-audit: allow-file(doc-constant-drift)\n",
         );
-        assert!(s.is_suppressed("unwrap-in-lib", 1));
-        assert!(s.is_suppressed("unwrap-in-lib", 2), "next line is covered");
-        assert!(!s.is_suppressed("unwrap-in-lib", 3));
-        assert!(s.is_suppressed("wall-clock-in-sim", 999), "file-wide covers everything");
+        assert!(s.is_suppressed("counter-dataflow", 1));
+        assert!(s.is_suppressed("counter-dataflow", 2), "next line is covered");
+        assert!(!s.is_suppressed("counter-dataflow", 3));
+        assert!(s.is_suppressed("doc-constant-drift", 999), "file-wide covers everything");
     }
 
     #[test]

@@ -1,35 +1,26 @@
-//! Source-level lint pass for the NUcache workspace.
+//! Workspace analyses for the NUcache workspace that stock `rustc` and
+//! `clippy` lints cannot express.
 //!
-//! `nucache-audit` walks every `.rs` file in the workspace and enforces a
-//! small set of project-specific invariants that `rustc`/`clippy` cannot
-//! express (or that clippy expresses only per-expression, where this
-//! project wants a curated, suppressible policy):
+//! The per-file rules — determinism (no `HashMap`/`HashSet`, no wall
+//! clock in simulator code), unwrap/expect, truncating casts and
+//! `unsafe` — are clippy and rustc lints configured in the workspace
+//! `Cargo.toml` and `clippy.toml`; feature-gate consistency is checked by
+//! compiling each feature configuration. See `DESIGN.md` §9.1.
 //!
-//! | lint | rule |
-//! |------|------|
-//! | `nondeterministic-iteration` | no bare `HashMap`/`HashSet` in simulator crates — iteration order leaks hasher state into results; use `BTreeMap`/`BTreeSet` or justify with a suppression |
-//! | `wall-clock-in-sim` | no `Instant`/`SystemTime` outside experiment binaries, benches and telemetry manifests — simulation results must never depend on wall time |
-//! | `forbid-unsafe-missing` | every crate root carries `#![forbid(unsafe_code)]` |
-//! | `lossy-cast-in-counters` | no truncating `as` casts to narrow integers in counter/stat/monitor arithmetic |
-//! | `unwrap-in-lib` | no new `.unwrap()`/`.expect()` in library code beyond the checked-in per-file allowlist |
-//!
-//! A finding can be suppressed at the site with a justification comment:
+//! What remains here needs the whole workspace at once: a lexical
+//! [symbol index](symbols), name-based [reference resolution](resolve),
+//! a cross-crate [use graph](graph) and three [semantic lints](semantic)
+//! (`counter-dataflow`, `doc-constant-drift`, `dead-cross-crate-pub`).
+//! A finding can be suppressed at the site with a justification comment
+//! on the same line or the line above:
 //!
 //! ```text
-//! // nucache-audit: allow(wall-clock-in-sim) -- throughput banner only
-//! let t0 = std::time::Instant::now();
+//! // nucache-audit: allow(counter-dataflow) -- read by the report binary
 //! ```
 //!
-//! (on the same line or the line above), or for a whole file with
-//! `allow-file(lint-name)`. The scanner is a self-contained lexer — no
-//! external dependencies — so the audit builds and runs offline even when
-//! the simulator crates themselves are broken.
-//!
-//! On top of the per-file pass sits a workspace-level layer: a lexical
-//! [symbol index](symbols), name-based [reference resolution](resolve),
-//! a cross-crate [use graph](graph) and four [semantic lints](semantic)
-//! (`counter-dataflow`, `doc-constant-drift`, `cfg-gate-consistency`,
-//! `dead-cross-crate-pub`). See `DESIGN.md` §10 for the analysis model.
+//! The scanner is a self-contained lexer — no external dependencies — so
+//! the audit builds and runs offline even when the simulator crates
+//! themselves are broken. See `DESIGN.md` §10 for the analysis model.
 //!
 //! The flow-aware layer ([mod@cfg], [effects], [hotpath]) builds per-function
 //! control-flow graphs, infers an `alloc`/`panic`/`lock`/`io` effect set
@@ -55,7 +46,6 @@ pub mod effects;
 pub mod graph;
 pub mod hotpath;
 pub mod lexer;
-pub mod lints;
 pub mod locks;
 pub mod manifest;
 pub mod resolve;
@@ -70,7 +60,6 @@ pub use effects::{EffectModel, EffectSet, FnInfo};
 pub use graph::UseGraph;
 pub use hotpath::{run_effect_lints, Justifications, EFFECT_LINTS, STUB_REASON};
 pub use lexer::ScannedFile;
-pub use lints::{run_lints, Allowlist, LINTS};
 pub use locks::{run_lock_lints, CONCURRENCY_LEDGER, LOCK_LINTS};
 pub use resolve::Workspace;
 pub use semantic::{dead_pub::Baseline, run_semantic_lints, SEMANTIC_LINTS};

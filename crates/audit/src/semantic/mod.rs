@@ -1,20 +1,17 @@
 //! Workspace-level semantic lints over the symbol index and use graph.
 //!
-//! Unlike the per-file passes in [`crate::lints`], these four lints need
-//! the whole workspace at once:
+//! These three lints need the whole workspace at once, and no stock
+//! rustc or clippy lint covers them:
 //!
 //! | lint | rule |
 //! |------|------|
 //! | `counter-dataflow` | every stats/telemetry counter field must be both written (incremented/assigned) and read outside tests, and its struct must have a reset/re-initialization path |
 //! | `doc-constant-drift` | backticked `CONST_NAME` cells in DESIGN.md / EXPERIMENTS.md tables must match the `const` values in the code |
-//! | `cfg-gate-consistency` | a feature-gated item must only be referenced from code under the same gate |
 //! | `dead-cross-crate-pub` | `pub` items never referenced outside their defining crate must be in the checked-in baseline (`crates/audit/pub_baseline.txt`) |
 //!
-//! Suppressions work exactly like the per-file lints: a
-//! `// nucache-audit: allow(<lint>) -- reason` comment on or above the
-//! declaration line covers the finding.
+//! A `// nucache-audit: allow(<lint>) -- reason` comment on or above the
+//! declaration line suppresses a finding.
 
-pub mod cfg_gates;
 pub mod counter_flow;
 pub mod dead_pub;
 pub mod doc_drift;
@@ -33,20 +30,15 @@ pub const SEMANTIC_LINTS: &[(&str, &str)] = &[
         "doc-constant-drift",
         "constants named in DESIGN.md/EXPERIMENTS.md tables must match the code",
     ),
-    (
-        "cfg-gate-consistency",
-        "feature-gated items must not be referenced from differently-gated code",
-    ),
     ("dead-cross-crate-pub", "pub items never referenced outside their crate must be baselined"),
 ];
 
-/// Runs all four semantic lints. Findings are sorted by
+/// Runs all three semantic lints. Findings are sorted by
 /// (file, line, lint, message) — deterministic for CI diffing.
 pub fn run_semantic_lints(ws: &Workspace, baseline: &Baseline) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     counter_flow::lint(ws, &mut out);
     doc_drift::lint(ws, &mut out);
-    cfg_gates::lint(ws, &mut out);
     dead_pub::lint(ws, baseline, &mut out);
     out.sort_by(|a, b| {
         (&a.file, a.line, a.lint, &a.message).cmp(&(&b.file, b.line, b.lint, &b.message))

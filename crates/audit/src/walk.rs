@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "runs", "results", "fixtures"];
 
 /// Collects every `.rs` file under `root`, sorted by path so the walk
-/// (and therefore diagnostic order and the allowlist) is deterministic.
+/// (and therefore diagnostic order) is deterministic.
 ///
 /// A directory below `root` whose `Cargo.toml` declares its own
 /// `[workspace]` is a separate Cargo workspace (the `perfbench`
@@ -50,8 +50,7 @@ fn is_own_workspace(dir: &Path) -> bool {
 pub struct FileClass {
     /// Crate the file belongs to (`nucache-core`, `root`, `vendor/rand`, …).
     pub crate_name: String,
-    /// Vendored third-party code (`vendor/*`): only `forbid-unsafe-missing`
-    /// is checked there, and only at crate roots.
+    /// Vendored third-party code (`vendor/*`).
     pub is_vendor: bool,
     /// Integration-test file (`tests/` directory).
     pub is_test_dir: bool,
@@ -61,29 +60,8 @@ pub struct FileClass {
     pub is_bin: bool,
     /// Example program (`examples/` directory).
     pub is_example: bool,
-    /// Crate root (`src/lib.rs` or `src/main.rs`): must carry
-    /// `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
-    /// Build script (`build.rs`): exempt from library-code lints.
+    /// Build script (`build.rs`).
     pub is_build_script: bool,
-}
-
-impl FileClass {
-    /// Whether this file is simulator library code — the scope for the
-    /// determinism, wall-clock, cast and unwrap lints. Experiment
-    /// binaries, benches, tests, vendor code and the audit tool itself
-    /// are out of scope.
-    pub fn is_sim_lib(&self) -> bool {
-        !self.is_vendor
-            && !self.is_test_dir
-            && !self.is_bench
-            && !self.is_bin
-            && !self.is_example
-            && !self.is_build_script
-            && self.crate_name != "nucache-audit"
-            && self.crate_name != "nucache-bench"
-            && self.crate_name != "nucache-experiments"
-    }
 }
 
 /// Classifies a workspace-relative path (forward slashes).
@@ -100,19 +78,8 @@ pub fn classify(rel: &str) -> FileClass {
     let file = parts.last().copied().unwrap_or("");
     let in_bin_dir = parts.windows(2).any(|w| w == ["src", "bin"]);
     let is_bin = in_bin_dir || (file == "main.rs" && parts.contains(&"src"));
-    let is_crate_root =
-        (file == "lib.rs" || file == "main.rs") && parts.iter().rev().nth(1) == Some(&"src");
     let is_build_script = rel.ends_with("build.rs") && !parts.contains(&"src");
-    FileClass {
-        crate_name,
-        is_vendor,
-        is_test_dir,
-        is_bench,
-        is_bin,
-        is_example,
-        is_crate_root,
-        is_build_script,
-    }
+    FileClass { crate_name, is_vendor, is_test_dir, is_bench, is_bin, is_example, is_build_script }
 }
 
 #[cfg(test)]
@@ -120,21 +87,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_core_lib() {
-        let c = classify("crates/core/src/llc.rs");
-        assert_eq!(c.crate_name, "nucache-core");
-        assert!(c.is_sim_lib());
-        assert!(!c.is_crate_root);
-    }
-
-    #[test]
-    fn classify_crate_roots() {
-        assert!(classify("crates/core/src/lib.rs").is_crate_root);
-        assert!(classify("src/lib.rs").is_crate_root);
-        assert!(classify("vendor/rand/src/lib.rs").is_crate_root);
-        assert!(!classify("crates/core/src/llc.rs").is_crate_root);
-        let bin = classify("crates/experiments/src/bin/simulate.rs");
-        assert!(bin.is_bin && !bin.is_crate_root);
+    fn classify_targets() {
+        let lib = classify("crates/core/src/llc.rs");
+        assert_eq!(lib.crate_name, "nucache-core");
+        assert!(!lib.is_vendor && !lib.is_test_dir && !lib.is_bench && !lib.is_bin);
+        assert!(classify("crates/experiments/src/bin/simulate.rs").is_bin);
+        assert!(classify("crates/audit/src/main.rs").is_bin);
+        assert!(classify("crates/cache/tests/policy_properties.rs").is_test_dir);
+        assert!(classify("crates/bench/benches/nucache.rs").is_bench);
+        assert!(classify("examples/policy_comparison.rs").is_example);
+        let vendor = classify("vendor/proptest/src/lib.rs");
+        assert!(vendor.is_vendor && vendor.crate_name == "vendor/proptest");
+        assert_eq!(classify("src/lib.rs").crate_name, "root");
     }
 
     #[test]
@@ -144,20 +108,5 @@ mod tests {
         let rel: Vec<_> =
             found.iter().map(|p| p.strip_prefix(&root).expect("under root")).collect();
         assert_eq!(rel, [Path::new("crates/core/src/lib.rs")], "bench/ has its own [workspace]");
-        let diags = crate::lints::run_lints(&root, &crate::lints::Allowlist::default())
-            .expect("lint the fixture");
-        assert!(diags.is_empty(), "nothing under bench/ is linted: {diags:?}");
-    }
-
-    #[test]
-    fn out_of_scope_files() {
-        assert!(!classify("crates/cache/tests/policy_properties.rs").is_sim_lib());
-        assert!(!classify("crates/bench/benches/nucache.rs").is_sim_lib());
-        assert!(!classify("crates/experiments/src/lib.rs").is_sim_lib());
-        assert!(!classify("vendor/proptest/src/lib.rs").is_sim_lib());
-        assert!(!classify("crates/audit/src/lints.rs").is_sim_lib());
-        assert!(!classify("examples/policy_comparison.rs").is_sim_lib());
-        assert!(classify("crates/sim/src/driver.rs").is_sim_lib());
-        assert!(classify("src/lib.rs").is_sim_lib());
     }
 }

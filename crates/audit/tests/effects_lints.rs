@@ -3,6 +3,8 @@
 //! with a deliberately seeded `Vec::push`, a justified indexing panic,
 //! a whole-function allocation boundary, and a lock-discipline pair.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
+
 use nucache_audit::{run_effect_lints, Diagnostic, EffectModel, Justifications, Workspace};
 use std::path::PathBuf;
 

@@ -4,6 +4,8 @@
 //! annotated hot path, and an unpaired Relaxed/Acquire atomic mix —
 //! plus one drop-disciplined control function that must stay clean.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
+
 use nucache_audit::{
     run_atomic_lints, run_lock_lints, Diagnostic, EffectModel, Justifications, Workspace,
 };

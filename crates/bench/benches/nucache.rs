@@ -11,8 +11,8 @@ use nucache_bench::{drive_shared_llc, mixed_pattern};
 use nucache_cache::policy::Lru;
 use nucache_cache::{CacheGeometry, ClassicLlc};
 use nucache_common::{Log2Histogram, Pc};
-use nucache_core::selector::{select_pcs, Candidate};
 use nucache_core::{NuCache, NuCacheConfig, SelectionStrategy};
+use nucache_kernel::{select_classes, Candidate};
 use std::hint::black_box;
 
 fn bench_access_cost(c: &mut Criterion) {
@@ -59,7 +59,7 @@ fn bench_monitor_sampling(c: &mut Criterion) {
 
 fn bench_selection_pass(c: &mut Criterion) {
     // Realistic candidate pool: 32 PCs with populated histograms.
-    let candidates: Vec<Candidate> = (0..32)
+    let candidates: Vec<Candidate<Pc>> = (0..32)
         .map(|i| {
             let mut h = Log2Histogram::new(32);
             h.record_n(10 + i * 17, 500);
@@ -67,11 +67,11 @@ fn bench_selection_pass(c: &mut Criterion) {
             Candidate { class: Pc::new(i), fills: 1_000 + i * 100, histogram: Some(h) }
         })
         .collect();
-    let small: Vec<Candidate> = candidates.iter().take(12).cloned().collect();
+    let small: Vec<Candidate<Pc>> = candidates.iter().take(12).cloned().collect();
     let mut group = c.benchmark_group("selection_pass");
     group.bench_function("greedy_32", |b| {
         b.iter(|| {
-            black_box(select_pcs(
+            black_box(select_classes(
                 black_box(&candidates),
                 8,
                 1_000_000,
@@ -82,7 +82,13 @@ fn bench_selection_pass(c: &mut Criterion) {
     });
     group.bench_function("exhaustive_12", |b| {
         b.iter(|| {
-            black_box(select_pcs(black_box(&small), 8, 1_000_000, SelectionStrategy::Exhaustive, 1))
+            black_box(select_classes(
+                black_box(&small),
+                8,
+                1_000_000,
+                SelectionStrategy::Exhaustive,
+                1,
+            ))
         });
     });
     group.finish();

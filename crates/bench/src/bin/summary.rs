@@ -28,6 +28,8 @@
 //! (the `threaded` section is informational: wall-clock-sleep-bound
 //! numbers regress with host scheduling, not with code).
 
+#![allow(clippy::disallowed_types, reason = "a benchmark harness measures wall time")]
+
 use nucache_bench::fill_find_churn;
 use nucache_cache::{CacheGeometry, SetArray};
 use nucache_common::json::{parse, JsonValue};

@@ -17,6 +17,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(clippy::disallowed_types, reason = "a benchmark harness measures wall time")]
 
 pub mod loadgen;
 
@@ -73,6 +74,7 @@ pub fn drive_policy_cache<P: ReplacementPolicy>(
 /// This is the canonical `fill_find_churn` workload: the Criterion bench
 /// (`benches/substrate.rs`) and the `summary` binary both run exactly
 /// this loop, so their numbers are comparable across PRs.
+#[expect(clippy::cast_possible_truncation, reason = "only the low mask bits of the index are used")]
 pub fn fill_find_churn(arr: &mut SetArray, n: u64) -> u64 {
     let sets = arr.geometry().num_sets();
     let ways = arr.geometry().associativity();

@@ -206,6 +206,7 @@ struct LruShard {
 
 impl LruShard {
     fn lookup(&mut self, key: u64) -> bool {
+        #[expect(clippy::cast_possible_truncation, reason = "masked below the set count")]
         let set = (key & self.set_mask) as usize;
         let tag = key >> self.set_mask.count_ones();
         self.stamp += 1;
@@ -222,6 +223,7 @@ impl LruShard {
     }
 
     fn install(&mut self, key: u64, value: u64) {
+        #[expect(clippy::cast_possible_truncation, reason = "masked below the set count")]
         let set = (key & self.set_mask) as usize;
         let tag = key >> self.set_mask.count_ones();
         self.stamp += 1;
@@ -280,6 +282,7 @@ impl ShardedLru {
     }
 
     fn lock(&self, key: u64) -> std::sync::MutexGuard<'_, LruShard> {
+        #[expect(clippy::cast_possible_truncation, reason = "`reduce` is below the shard count")]
         let i = self.route.reduce(mix64(key)) as usize;
         self.shards[i].lock().unwrap_or_else(|poisoned| {
             self.recoveries.fetch_add(1, Ordering::Relaxed);
@@ -339,6 +342,7 @@ fn worker<C: ServeCache>(
     deadline: Instant,
 ) -> WorkerStats {
     let spec = cfg.workload.spec();
+    #[expect(clippy::cast_possible_truncation, reason = "thread counts are far below u8::MAX")]
     let mut generator =
         TraceGen::new(&spec, CoreId::new(thread_id as u8), cfg.seed ^ thread_id as u64);
     let mut stats = WorkerStats {
@@ -382,6 +386,7 @@ fn worker<C: ServeCache>(
                     cache.insert(key, class, key);
                     stats.misses += 1;
                 }
+                #[expect(clippy::cast_possible_truncation, reason = "latencies fit u64 ns")]
                 stats.latency.record(start.elapsed().as_nanos() as u64);
                 stats.ops += 1;
             }
@@ -417,7 +422,10 @@ pub fn run_loadgen<C: ServeCache>(
             latency: Log2Histogram::new(LATENCY_BUCKETS),
         };
         for handle in workers {
-            // nucache-audit: allow(unwrap-in-lib) -- workers catch batch panics; join only fails on harness bugs
+            #[expect(
+                clippy::expect_used,
+                reason = "workers catch batch panics; join only fails on harness bugs"
+            )]
             let stats = handle.join().expect("workers never panic (batches unwind inside)");
             merged.ops += stats.ops;
             merged.hits += stats.hits;
@@ -452,8 +460,8 @@ const EPOCH_SWEEP_INTERVAL: Duration = Duration::from_millis(1);
 /// Runs the load against a sharded NUcache with its background epoch
 /// thread (deferred selection, swept every millisecond).
 pub fn run_nucache(cfg: &LoadgenConfig) -> LoadgenReport {
+    #[expect(clippy::expect_used, reason = "geometry is static and checked by the unit tests")]
     let cache: Arc<ConcurrentNucache<u64>> =
-        // nucache-audit: allow(unwrap-in-lib) -- geometry is static and checked by the unit tests
         Arc::new(ConcurrentNucache::init(ConcurrentConfig::new(cfg.shards, cfg.shard)).expect(
             "loadgen shard geometry is valid by construction (power-of-two sets, deli < ways)",
         ));

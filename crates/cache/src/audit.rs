@@ -125,6 +125,7 @@ impl ReferenceArray {
     /// Panics if the frame is invalid.
     pub fn mark_dirty(&mut self, set: usize, way: usize) {
         let i = self.idx(set, way);
+        #[expect(clippy::expect_used, reason = "documented precondition: the frame is valid")]
         let m = self.frames[i].as_mut().expect("marking an invalid frame dirty");
         m.dirty = true;
     }

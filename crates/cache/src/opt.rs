@@ -10,11 +10,14 @@
 //! line's next use; the second simulates, keeping per-set residents
 //! keyed by next-use index.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "OPT oracle maps are lookup-only (insert/get/remove by key); nothing iterates \
+              them, so hasher state cannot reach the results"
+)]
+
 use crate::config::CacheGeometry;
 use nucache_common::{CacheStats, LineAddr};
-// nucache-audit: allow-file(nondeterministic-iteration) -- OPT oracle maps are
-// lookup-only (insert/get/remove by key); nothing iterates them, so hasher
-// state cannot reach the results.
 use std::collections::HashMap;
 
 /// Result of an OPT simulation.
@@ -78,6 +81,7 @@ pub fn optimal_misses(geom: &CacheGeometry, trace: &[LineAddr]) -> OptResult {
         if residents[set].len() == assoc {
             // Evict the farthest-next-use line. `usize::MAX` (never used
             // again) sorts last, exactly as OPT wants.
+            #[expect(clippy::expect_used, reason = "the set holds `assoc` >= 1 lines here")]
             let victim = *residents[set].iter().next_back().expect("full set");
             residents[set].remove(&victim);
             keyed.remove(&victim.1);

@@ -66,6 +66,7 @@ impl RecencyCore {
         self.last_touch[set * self.assoc + way] = stamp;
     }
 
+    #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
     fn victim(&self, set: usize) -> usize {
         let base = set * self.assoc;
         (0..self.assoc).min_by_key(|&w| self.last_touch[base + w]).expect("non-zero associativity")

@@ -32,6 +32,7 @@ impl ReplacementPolicy for Fifo {
         self.fill_stamp[set * self.assoc + way] = self.stamp;
     }
 
+    #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
     fn victim(&mut self, set: usize) -> usize {
         let base = set * self.assoc;
         (0..self.assoc).min_by_key(|&w| self.fill_stamp[base + w]).expect("non-zero associativity")

@@ -35,6 +35,7 @@ impl ReplacementPolicy for Nru {
         self.referenced[set * self.assoc + way] = true;
     }
 
+    #[expect(clippy::expect_used, reason = "the bits were all cleared above if none was clear")]
     fn victim(&mut self, set: usize) -> usize {
         let bits = self.set_bits(set);
         if bits.iter().all(|&b| b) {

@@ -56,6 +56,7 @@ impl ShipPc {
     }
 
     /// Hashes a PC into a signature-table index.
+    #[expect(clippy::cast_possible_truncation, reason = "masked to SHCT_ENTRIES - 1 < 2^16")]
     fn signature(pc: Pc) -> u16 {
         // Fold the PC; drop the low instruction-alignment bits.
         let x = pc.0 >> 2;

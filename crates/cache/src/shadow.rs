@@ -105,6 +105,7 @@ impl UtilityMonitor {
         }
         self.misses += 1;
         // Fill: pick an invalid frame, else the LRU one.
+        #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
         let way = (0..self.assoc).find(|&w| self.tags[base + w].is_none()).unwrap_or_else(|| {
             (0..self.assoc).min_by_key(|&w| self.stamps[base + w]).expect("assoc > 0")
         });

@@ -185,6 +185,7 @@ impl Log2Histogram {
         // Integer ceiling of `p * total`, spelled out because `f64::ceil`
         // lives in std and this crate also builds for `no_std` targets.
         let scaled = p.clamp(0.0, 1.0) * self.total as f64;
+        #[expect(clippy::cast_possible_truncation, reason = "floor of a value in [0, total]")]
         let trunc = scaled as u64;
         let ceil = if scaled > trunc as f64 { trunc + 1 } else { trunc };
         // At least one sample must be covered, so p = 0.0 lands on the

@@ -66,6 +66,7 @@ impl JsonValue {
     }
 
     /// The numeric content as `u64`, if this is a non-negative integer.
+    #[expect(clippy::cast_possible_truncation, reason = "guarded: an integer within u64 range")]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
@@ -425,6 +426,7 @@ impl Parser<'_> {
                     let start = self.pos - 1;
                     let s = std::str::from_utf8(&self.bytes[start..])
                         .map_err(|_| self.err("invalid utf8"))?;
+                    #[expect(clippy::expect_used, reason = "`s` holds the byte just consumed")]
                     let c = s.chars().next().expect("non-empty");
                     out.push(c);
                     self.pos = start + c.len_utf8();
@@ -441,6 +443,7 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
+        #[expect(clippy::expect_used, reason = "the loop above consumed only ASCII bytes")]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
         text.parse::<f64>()
             .map(JsonValue::Num)

@@ -25,6 +25,11 @@
 #![cfg_attr(not(feature = "std"), no_std)]
 
 extern crate alloc;
+// Unit tests always link std; `format!` in the tests needs its macros in
+// the `no_std + alloc` build too.
+#[cfg(all(test, not(feature = "std")))]
+#[macro_use]
+extern crate std;
 
 pub mod access;
 pub mod addr;

@@ -211,6 +211,7 @@ impl FastRange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec::Vec;
 
     #[test]
     fn same_seed_same_stream() {

@@ -104,19 +104,20 @@ impl NuCacheConfig {
         self
     }
 
-    /// Validates the configuration against a total associativity.
+    /// Validates the configuration against a total associativity with
+    /// the kernel's rules ([`nucache_kernel::KernelConfig::validate`]).
     ///
     /// # Panics
     ///
-    /// Panics if the DeliWays consume every way (at least one MainWay is
-    /// required), or any count is zero where that makes no sense.
+    /// Panics with the kernel's [`ConfigError`](nucache_kernel::ConfigError)
+    /// if the DeliWays consume every way (at least one MainWay is
+    /// required), or any count is out of range.
     pub fn validate(&self, associativity: usize) {
-        assert!(self.deli_ways < associativity, "DeliWays must leave at least one MainWay");
-        assert!(self.epoch_len > 0, "zero epoch length");
-        assert!(self.max_candidates > 0, "no candidates");
-        assert!(self.monitor_depth > 0, "zero monitor depth");
-        assert!(self.histogram_buckets > 0 && self.histogram_buckets <= 64, "bad bucket count");
-        assert!(self.oracle_pool >= 1 && self.oracle_pool <= 20, "oracle pool out of range");
+        // One set stands in for the geometry: the set count is the
+        // simulator's `CacheGeometry`'s to check, not a policy knob.
+        if let Err(e) = self.to_kernel(1, associativity).validate() {
+            panic!("invalid NUcache configuration: {e}");
+        }
     }
 
     /// Lowers this simulator configuration to a kernel configuration for

@@ -33,7 +33,7 @@
 //!  NextUseMonitor (sampled)     histograms of set-accesses between
 //!        │                      MainWays eviction and next request
 //!        ▼  every epoch_len LLC accesses
-//!  selector::select_pcs         cost-benefit over the histograms
+//!  select_classes               cost-benefit over the histograms
 //!        │ chosen PC set
 //!        ▼
 //!  MainWays eviction ──(allocated by a chosen PC?)──▶ DeliWays (FIFO)
@@ -60,12 +60,6 @@
 //! * [`NuCacheConfig`] — all knobs with paper-faithful defaults,
 //!   lowered to a [`nucache_kernel::KernelConfig`] via
 //!   [`NuCacheConfig::to_kernel`];
-//! * [`delinquent`] — per-PC miss accounting, top-K extraction (kernel
-//!   tracker, PC-keyed);
-//! * [`monitor`] — the sampled Next-Use monitor (kernel monitor,
-//!   PC-keyed);
-//! * [`selector`] — cost-benefit, exhaustive (oracle), static-top-k and
-//!   random selection strategies (kernel selector, PC-keyed);
 //! * [`NuCache`] — the thin adapter implementing
 //!   [`nucache_cache::SharedLlc`] over
 //!   [`nucache_kernel::NucacheKernel`]: per-core stats, write-back
@@ -89,14 +83,8 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod delinquent;
 pub mod llc;
-pub mod monitor;
 pub mod overhead;
-pub mod selector;
 
 pub use config::{NuCacheConfig, SelectionStrategy};
-pub use delinquent::DelinquentTracker;
 pub use llc::NuCache;
-pub use monitor::NextUseMonitor;
-pub use selector::select_pcs;

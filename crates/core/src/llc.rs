@@ -18,14 +18,13 @@
 //! loop dispatches on.
 
 use crate::config::NuCacheConfig;
-use crate::delinquent::DelinquentTracker;
-use crate::monitor::NextUseMonitor;
-use crate::selector::Selection;
 use nucache_cache::meta::{AccessOutcome, EvictedLine};
 use nucache_cache::{AuditStats, CacheGeometry, SharedLlc};
 use nucache_common::telemetry::{Event, PcSnapshot};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
-use nucache_kernel::{Evicted, Lookup, NucacheKernel};
+use nucache_kernel::{
+    DelinquentTracker, Evicted, Lookup, NextUseMonitor, NucacheKernel, Selection,
+};
 
 /// Per-line simulator state stored as the kernel's value type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +72,7 @@ impl NuCache {
         config.validate(geom.associativity());
         let kc = config.to_kernel(geom.num_sets(), geom.associativity());
         #[allow(unused_mut)] // mut only needed under debug_invariants
+        #[expect(clippy::expect_used, reason = "validate() above checks every kernel rule")]
         let mut llc = NuCache {
             kernel: NucacheKernel::init(kc).expect("NuCacheConfig::validate covers kernel rules"),
             geom,
@@ -136,7 +136,7 @@ impl NuCache {
     }
 
     /// The outcome of the most recent selection pass.
-    pub const fn last_selection(&self) -> &Selection {
+    pub const fn last_selection(&self) -> &Selection<Pc> {
         self.kernel.last_selection()
     }
 
@@ -156,12 +156,12 @@ impl NuCache {
     }
 
     /// Read access to the delinquent-PC tracker (Fig. 1 uses this).
-    pub const fn tracker(&self) -> &DelinquentTracker {
+    pub const fn tracker(&self) -> &DelinquentTracker<Pc> {
         self.kernel.tracker()
     }
 
     /// Read access to the Next-Use monitor (Fig. 2 uses this).
-    pub const fn monitor(&self) -> &NextUseMonitor {
+    pub const fn monitor(&self) -> &NextUseMonitor<Pc> {
         self.kernel.monitor()
     }
 

@@ -16,6 +16,8 @@
 //! cumulative stats, epoch count, chosen-PC sets and selection
 //! objective, across strategies, epoch boundaries and DeliWays shapes.
 
+#![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
+
 use nucache_cache::{CacheGeometry, SharedLlc};
 use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 use nucache_core::config::{NuCacheConfig, SelectionStrategy};
@@ -29,9 +31,9 @@ mod legacy {
     use nucache_cache::{CacheGeometry, SetArray};
     use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
     use nucache_core::config::NuCacheConfig;
-    use nucache_core::delinquent::DelinquentTracker;
-    use nucache_core::monitor::NextUseMonitor;
-    use nucache_core::selector::{build_candidates, select_pcs, Selection};
+    use nucache_kernel::{
+        build_candidates, select_classes, DelinquentTracker, NextUseMonitor, Selection,
+    };
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Mask with the low `n` bits set (`n` up to 64).
@@ -52,11 +54,11 @@ mod legacy {
         main_touch: Vec<u64>,
         deli_entry: Vec<u64>,
         stamp: u64,
-        monitor: NextUseMonitor,
-        tracker: DelinquentTracker,
+        monitor: NextUseMonitor<Pc>,
+        tracker: DelinquentTracker<Pc>,
         deli_fills_by_pc: BTreeMap<Pc, u64>,
         chosen: BTreeSet<Pc>,
-        pub last_selection: Selection,
+        pub last_selection: Selection<Pc>,
         window_accesses: u64,
         accesses_in_epoch: u64,
         pub epochs: u64,
@@ -187,7 +189,7 @@ mod legacy {
             top.truncate(pool);
             let candidates = build_candidates(&top, self.monitor.histograms());
             let accesses_global = self.window_accesses;
-            self.last_selection = select_pcs(
+            self.last_selection = select_classes(
                 &candidates,
                 self.deli_ways,
                 accesses_global.max(1),

@@ -1,8 +1,8 @@
 //! Property-based tests of the PC-selection algorithms.
 
 use nucache_common::{Log2Histogram, Pc};
-use nucache_core::selector::{select_pcs, Candidate};
-use nucache_core::SelectionStrategy;
+use nucache_kernel::{select_classes, SelectionStrategy};
+type Candidate = nucache_kernel::Candidate<Pc>;
 use proptest::prelude::*;
 
 /// Strategy producing a plausible candidate pool.
@@ -38,9 +38,9 @@ proptest! {
             SelectionStrategy::Random(4),
             SelectionStrategy::None,
         ] {
-            let sel = select_pcs(&cands, deli, acc, strat, 7);
-            let pool: std::collections::HashSet<Pc> = cands.iter().map(|c| c.class).collect();
-            let mut seen = std::collections::HashSet::new();
+            let sel = select_classes(&cands, deli, acc, strat, 7);
+            let pool: std::collections::BTreeSet<Pc> = cands.iter().map(|c| c.class).collect();
+            let mut seen = std::collections::BTreeSet::new();
             for pc in &sel.chosen {
                 prop_assert!(pool.contains(pc), "{strat}: chose unknown PC");
                 prop_assert!(seen.insert(*pc), "{strat}: duplicate PC");
@@ -57,7 +57,7 @@ proptest! {
             .map(|h| h.total())
             .sum();
         for strat in [SelectionStrategy::CostBenefit, SelectionStrategy::Exhaustive] {
-            let sel = select_pcs(&cands, deli, 100_000, strat, 1);
+            let sel = select_classes(&cands, deli, 100_000, strat, 1);
             prop_assert!(
                 sel.expected_hits <= total_mass,
                 "{strat}: expected {} > recorded mass {total_mass}",
@@ -70,8 +70,8 @@ proptest! {
     /// with at most 12 candidates.
     #[test]
     fn exhaustive_dominates_greedy(cands in candidates_strategy(12), deli in 1usize..12) {
-        let g = select_pcs(&cands, deli, 100_000, SelectionStrategy::CostBenefit, 1);
-        let o = select_pcs(&cands, deli, 100_000, SelectionStrategy::Exhaustive, 1);
+        let g = select_classes(&cands, deli, 100_000, SelectionStrategy::CostBenefit, 1);
+        let o = select_classes(&cands, deli, 100_000, SelectionStrategy::Exhaustive, 1);
         prop_assert!(
             o.expected_hits >= g.expected_hits,
             "oracle {} < greedy {}",
@@ -91,7 +91,7 @@ proptest! {
         h.record_n(dist, 1_000);
         let cands = vec![Candidate { class: Pc::new(1), fills, histogram: Some(h) }];
         let acc = fills; // lifetime = deli ways only
-        let sel = select_pcs(&cands, 4, acc, SelectionStrategy::CostBenefit, 1);
+        let sel = select_classes(&cands, 4, acc, SelectionStrategy::CostBenefit, 1);
         if dist > 8 {
             prop_assert!(sel.chosen.is_empty(), "selected a hopeless PC");
         }
@@ -106,8 +106,8 @@ proptest! {
             SelectionStrategy::StaticTopK(3),
             SelectionStrategy::Random(3),
         ] {
-            let a = select_pcs(&cands, 8, 50_000, strat, seed);
-            let b = select_pcs(&cands, 8, 50_000, strat, seed);
+            let a = select_classes(&cands, 8, 50_000, strat, seed);
+            let b = select_classes(&cands, 8, 50_000, strat, seed);
             prop_assert_eq!(a, b);
         }
     }
@@ -117,10 +117,10 @@ proptest! {
     /// pick them.
     #[test]
     fn streams_never_improve_greedy(cands in candidates_strategy(8), stream_fills in 1u64..100_000) {
-        let base = select_pcs(&cands, 8, 100_000, SelectionStrategy::CostBenefit, 1);
+        let base = select_classes(&cands, 8, 100_000, SelectionStrategy::CostBenefit, 1);
         let mut with_stream = cands.clone();
         with_stream.push(Candidate { class: Pc::new(0xdead), fills: stream_fills, histogram: None });
-        let plus = select_pcs(&with_stream, 8, 100_000, SelectionStrategy::CostBenefit, 1);
+        let plus = select_classes(&with_stream, 8, 100_000, SelectionStrategy::CostBenefit, 1);
         prop_assert!(!plus.chosen.contains(&Pc::new(0xdead)), "chose a pure stream");
         prop_assert_eq!(plus.expected_hits, base.expected_hits);
     }

@@ -16,6 +16,8 @@
 //! `--inject-faults SEED` deterministically injects worker panics and
 //! I/O errors to exercise all of the above.
 
+#![allow(clippy::disallowed_types, reason = "wall time never reaches a simulation")]
+
 use nucache_experiments::panic_message;
 use nucache_sim::args::Args;
 use nucache_sim::telemetry::{git_revision, take_manifest_config, Manifest};

@@ -15,6 +15,8 @@
 //! tag-array operation is mirrored into a naive reference model and
 //! NUcache's epoch invariants are checked; any divergence aborts the run.
 
+#![allow(clippy::disallowed_types, reason = "wall time never reaches a simulation")]
+
 use nucache_cache::CacheGeometry;
 use nucache_common::table::{f2, f3, Table};
 use nucache_core::NuCacheConfig;

@@ -19,6 +19,7 @@ use nucache_trace::{SpecWorkload, TraceGen};
 /// The monitor samples every set (`monitor_shift = 0`) so the histograms
 /// of Fig. 2 are as dense as possible; selection runs with the default
 /// cost-benefit strategy so Fig. 1/2 reflect steady-state behaviour.
+#[expect(clippy::cast_possible_truncation, reason = "access budgets are far below usize::MAX")]
 pub fn characterize(workload: SpecWorkload, accesses: u64, config: &SimConfig) -> NuCache {
     let nucache_config = NuCacheConfig { monitor_shift: 0, ..NuCacheConfig::default() };
     let mut llc = NuCache::new(config.llc, 1, nucache_config);

@@ -388,6 +388,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     // ---- geometry helpers -------------------------------------------------
 
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "masked below the set count")]
     fn set_of(&self, key: u64) -> usize {
         (key & low_mask(self.set_bits as usize)) as usize
     }
@@ -479,6 +480,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
         }
         self.valid[set] &= !(1u64 << way);
         let tag = self.tags[f];
+        #[expect(clippy::expect_used, reason = "a valid frame holds an entry")]
         let stored = self.entries[f].take().expect("valid frame holds an entry");
         if let Some(mir) = &mut self.mirror {
             mir.ops += 1;
@@ -504,6 +506,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     }
 
     /// LRU victim among the MainWays of `set` (which are full).
+    #[expect(clippy::expect_used, reason = "validate() guarantees at least one MainWay")]
     fn main_victim(&self, set: usize) -> usize {
         (0..self.main_ways)
             .min_by_key(|&w| self.main_touch[self.frame(set, w)])
@@ -511,6 +514,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
     }
 
     /// FIFO victim among the DeliWays of `set`, or the first invalid one.
+    #[expect(clippy::expect_used, reason = "called only with deli_ways > 0 (debug_assert)")]
     fn deli_slot(&self, set: usize) -> usize {
         debug_assert!(self.deli_ways > 0, "deli_slot needs DeliWays");
         let free = (!self.valid[set] >> self.main_ways) & low_mask(self.deli_ways);
@@ -600,6 +604,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
                 // through the normal retirement path (which
                 // admission-checks it into the freed slot only if its
                 // class is chosen).
+                #[expect(clippy::expect_used, reason = "the hit way is valid")]
                 let promoted = self.invalidate(set, way).expect("hit way valid");
                 let mv = self.free_main_way(set).unwrap_or_else(|| self.main_victim(set));
                 if let Some(victim) = self.invalidate(set, mv) {
@@ -614,6 +619,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
             self.audit_access_check();
         }
         let f = self.frame(set, final_way);
+        #[expect(clippy::expect_used, reason = "the hit entry is resident")]
         let value = &mut self.entries[f].as_mut().expect("hit entry resident").value;
         Lookup::Hit { value, region, evicted }
     }
@@ -634,6 +640,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
         if self.last_miss.take() != Some(key) {
             if let Some(way) = self.find(set, tag) {
                 let f = self.frame(set, way);
+                #[expect(clippy::expect_used, reason = "`find` just matched this frame")]
                 let stored = self.entries[f].as_mut().expect("resident entry");
                 stored.class = class;
                 stored.value = value;
@@ -644,6 +651,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
             Some(w) => (w, None),
             None => {
                 let w = self.main_victim(set);
+                #[expect(clippy::expect_used, reason = "full MainWays: the victim frame is valid")]
                 let victim = self.invalidate(set, w).expect("MainWays full, victim valid");
                 (w, self.retire_from_main(set, victim))
             }
@@ -1038,6 +1046,7 @@ impl<V, C: Copy + Ord + Debug> NucacheKernel<V, C> {
         // started.
         let buffer_cap = (self.config.monitor_depth * self.monitor.sampled_sets()) as u64;
         let (rec, mat) = (self.monitor.recorded(), self.monitor.matched());
+        #[expect(clippy::expect_used, reason = "the epoch check runs only while auditing")]
         let a = self.audit.as_mut().expect("epoch check runs only while auditing");
         let window_matched = mat.saturating_sub(a.window_matched);
         let window_recorded = rec.saturating_sub(a.window_recorded);
@@ -1475,6 +1484,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "values stay below 64 ways")]
     fn whole_row_probe_finds_every_way() {
         for (ways, deli) in PROBE_GEOMETRIES {
             let mut k = audited(ways, deli);

@@ -141,5 +141,5 @@ pub use kernel::{
     ClassSnapshot, EpochInputs, EpochSummary, Evicted, Lookup, NucacheKernel, Region,
 };
 pub use monitor::NextUseMonitor;
-pub use selector::{build_candidates, evaluate_chosen, select_classes, Candidate, Selection};
+pub use selector::{build_candidates, select_classes, Candidate, Selection};
 pub use tracker::DelinquentTracker;

@@ -79,7 +79,7 @@ fn expected_hits<C>(
 ///
 /// Returns `None` when a chosen class is not among the candidates
 /// (itself an invariant violation the caller reports).
-pub fn evaluate_chosen<C: Copy + Ord>(
+pub(crate) fn evaluate_chosen<C: Copy + Ord>(
     candidates: &[Candidate<C>],
     chosen: &[C],
     deli_ways: usize,

@@ -262,6 +262,10 @@ mod tests {
                         o.decay();
                     }
                     12..=19 => {
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            reason = "reduced modulo a small capacity right after"
+                        )]
                         let k = raw as usize % (capacity + 2);
                         prop_assert_eq!(t.top_k(k), o.top_k(k));
                     }

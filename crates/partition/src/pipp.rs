@@ -168,6 +168,7 @@ impl RecencyStacks {
     fn promote_one(&mut self, set: usize, way: usize) {
         let base = set * self.assoc;
         let stack = &mut self.ways[base..base + self.len[set] as usize];
+        #[expect(clippy::expect_used, reason = "documented precondition: the way is resident")]
         let pos = stack.iter().position(|&w| w as usize == way).expect("hit way in stack");
         if pos > 0 {
             stack.swap(pos, pos - 1);
@@ -180,6 +181,7 @@ impl RecencyStacks {
     ///
     /// Panics if the stack is empty.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "stack length <= assoc <= u8::MAX")]
     fn pop_lru(&mut self, set: usize) -> u8 {
         let len = self.len[set] as usize;
         assert!(len > 0, "full set has full stack");
@@ -189,6 +191,7 @@ impl RecencyStacks {
 
     /// Inserts `way` at `depth` positions above the LRU end (0 = LRU-most).
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "stack length <= assoc <= u8::MAX")]
     fn insert_above_lru(&mut self, set: usize, way: u8, depth: usize) {
         let base = set * self.assoc;
         let len = self.len[set] as usize;
@@ -235,6 +238,7 @@ impl SharedLlc for PippLlc {
         }
         // Insert at the core's depth from the LRU end.
         let depth = self.insert_depth(core).min(self.stacks.len_of(set));
+        #[expect(clippy::cast_possible_truncation, reason = "way < assoc <= u8::MAX")]
         self.stacks.insert_above_lru(set, way as u8, depth);
         AccessOutcome::Miss { evicted }
     }

@@ -112,6 +112,7 @@ impl UcpLlc {
     /// plain LRU among over-quota lines); if nobody is over quota (can
     /// happen transiently right after repartitioning), fall back to the
     /// requester's own LRU line, then to global LRU.
+    #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
     fn victim(&self, set: usize, requester: CoreId) -> usize {
         let geom = self.geometry_copy();
         let assoc = geom.associativity();

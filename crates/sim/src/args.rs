@@ -2,8 +2,8 @@
 //! `simulate` binary.
 //!
 //! Supports `--key value` and `--key=value` pairs plus `--flag` booleans;
-//! unknown keys are errors so typos do not silently fall back to
-//! defaults.
+//! unknown keys, and value keys given without a value, are errors so
+//! typos do not silently fall back to defaults.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,7 +28,8 @@ pub struct Args {
     /// the alphabetically first, not whichever a hasher happens to yield.
     values: BTreeMap<String, String>,
     flags: Vec<String>,
-    consumed: std::cell::RefCell<Vec<String>>,
+    /// Keys read so far, each with whether it was read as a value.
+    consumed: std::cell::RefCell<Vec<(String, bool)>>,
 }
 
 impl Args {
@@ -53,6 +54,7 @@ impl Args {
             if let Some((k, v)) = key.split_once('=') {
                 values.insert(k.to_string(), v.to_string());
             } else if iter.peek().is_some_and(|n| !n.starts_with("--")) {
+                #[expect(clippy::expect_used, reason = "`peek` just returned an argument")]
                 let v = iter.next().expect("peeked");
                 values.insert(key.to_string(), v);
             } else {
@@ -64,7 +66,7 @@ impl Args {
 
     /// String value for `key`, or `default`.
     pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
-        self.consumed.borrow_mut().push(key.to_string());
+        self.consumed.borrow_mut().push((key.to_string(), true));
         self.values.get(key).map_or(default, String::as_str)
     }
 
@@ -78,7 +80,7 @@ impl Args {
         key: &str,
         default: T,
     ) -> Result<T, ParseArgsError> {
-        self.consumed.borrow_mut().push(key.to_string());
+        self.consumed.borrow_mut().push((key.to_string(), true));
         match self.values.get(key) {
             None => Ok(default),
             Some(v) => {
@@ -89,19 +91,26 @@ impl Args {
 
     /// Whether a bare `--flag` was given.
     pub fn flag(&self, key: &str) -> bool {
-        self.consumed.borrow_mut().push(key.to_string());
+        self.consumed.borrow_mut().push((key.to_string(), false));
         self.flags.iter().any(|f| f == key)
     }
 
-    /// After reading every expected key, rejects leftovers (typo guard).
+    /// After reading every expected key, rejects leftovers (typo guard)
+    /// and value keys given as bare flags (`--jobs` with no number).
     ///
     /// # Errors
     ///
-    /// Returns an error naming the first unrecognized key.
+    /// Returns an error naming the first value key given without a value,
+    /// else the first unrecognized key.
     pub fn reject_unknown(&self) -> Result<(), ParseArgsError> {
         let consumed = self.consumed.borrow();
+        for key in &self.flags {
+            if consumed.iter().any(|(c, wants_value)| c == key && *wants_value) {
+                return Err(ParseArgsError(format!("--{key} needs a value")));
+            }
+        }
         for key in self.values.keys().chain(self.flags.iter()) {
-            if !consumed.iter().any(|c| c == key) {
+            if !consumed.iter().any(|(c, _)| c == key) {
                 return Err(ParseArgsError(format!("unknown option --{key}")));
             }
         }
@@ -148,6 +157,18 @@ mod tests {
         let _ = a.get_num("cores", 1usize);
         let err = a.reject_unknown().unwrap_err();
         assert!(err.to_string().contains("corse"));
+    }
+
+    #[test]
+    fn value_key_without_value_rejected() {
+        for raw in [&["--jobs"][..], &["--cores", "--scheme", "nucache"]] {
+            let a = Args::parse(raw.iter().copied()).unwrap();
+            let _ = a.get_num("jobs", 0usize);
+            let _ = a.get_num("cores", 2usize);
+            let _ = a.get_or("scheme", "lru");
+            let err = a.reject_unknown().unwrap_err().to_string();
+            assert_eq!(err, format!("{} needs a value", raw[0]));
+        }
     }
 
     #[test]

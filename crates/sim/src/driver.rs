@@ -224,6 +224,7 @@ fn run_mix_impl<L: SharedLlc + ?Sized>(
             seed: config.seed,
         });
     }
+    #[expect(clippy::cast_possible_truncation, reason = "mixes run at most 8 cores")]
     let mut cores: Vec<CoreState> = mix
         .workloads()
         .iter()

@@ -164,6 +164,7 @@ impl TraceGen {
         while idx < out.len() {
             self.advance_phase();
             let phase = self.phase;
+            #[expect(clippy::cast_possible_truncation, reason = "phase lengths fit usize")]
             let run = (out.len() - idx).min(self.phase_left as usize);
             let base = self.phase_site_base[phase];
             // Split borrows: the RNG and site states advance while the
@@ -181,6 +182,7 @@ impl TraceGen {
                 let line = step_site(&mut sites[base + local], rng, site.behavior);
                 let kind =
                     if rng.chance(site.write_frac) { AccessKind::Write } else { AccessKind::Read };
+                #[expect(clippy::cast_possible_truncation, reason = "gap draws fit the u32 range")]
                 let gap = rng.draw(&gap_pick) as u32;
                 let pc = Self::site_pc(base + local).globalize(core);
                 *slot = Access::with_gap(core, pc, Addr::new(line << BLOCK_BITS), kind, gap)
@@ -225,6 +227,7 @@ const fn trace_stream_label(core: CoreId) -> u64 {
 /// `[0, total_weight)` range, so no division is paid per draw.
 #[inline]
 fn pick_in(cum: &[u32], pick: &FastRange, rng: &mut DetRng) -> usize {
+    #[expect(clippy::cast_possible_truncation, reason = "`pick` ranges over the u32 total weight")]
     let draw = rng.draw(pick) as u32;
     cum.partition_point(|&c| c <= draw)
 }
@@ -282,6 +285,7 @@ impl Iterator for TraceGen {
         let line = self.advance_site(global_idx, site.behavior);
         let kind =
             if self.rng.chance(site.write_frac) { AccessKind::Write } else { AccessKind::Read };
+        #[expect(clippy::cast_possible_truncation, reason = "gap draws fit the u32 range")]
         let gap = self.rng.draw(&self.gap_pick) as u32;
         let pc = Self::site_pc(global_idx).globalize(self.core);
         self.phase_left -= 1;
@@ -321,7 +325,7 @@ mod tests {
     #[test]
     fn loop_footprint_is_exact() {
         let spec = loop_spec(37);
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: std::collections::BTreeSet<u64> =
             TraceGen::new(&spec, CoreId::new(0), 1).take(500).map(|a| a.addr.line(6).0).collect();
         assert_eq!(distinct.len(), 37);
     }
@@ -333,7 +337,7 @@ mod tests {
             vec![SiteSpec::new(Behavior::PointerChase { lines: 64 }, 1)],
             (0, 0),
         );
-        let distinct: std::collections::HashSet<u64> =
+        let distinct: std::collections::BTreeSet<u64> =
             TraceGen::new(&spec, CoreId::new(0), 1).take(64).map(|a| a.addr.line(6).0).collect();
         assert_eq!(distinct.len(), 64, "full-period cycle must cover the region");
     }
@@ -379,8 +383,8 @@ mod tests {
         let spec = loop_spec(100);
         let a: Vec<_> = TraceGen::new(&spec, CoreId::new(0), 1).take(50).collect();
         let b: Vec<_> = TraceGen::new(&spec, CoreId::new(1), 1).take(50).collect();
-        let lines_a: std::collections::HashSet<u64> = a.iter().map(|x| x.addr.line(6).0).collect();
-        let lines_b: std::collections::HashSet<u64> = b.iter().map(|x| x.addr.line(6).0).collect();
+        let lines_a: std::collections::BTreeSet<u64> = a.iter().map(|x| x.addr.line(6).0).collect();
+        let lines_b: std::collections::BTreeSet<u64> = b.iter().map(|x| x.addr.line(6).0).collect();
         assert!(lines_a.is_disjoint(&lines_b));
         assert_ne!(a[0].pc, b[0].pc);
     }

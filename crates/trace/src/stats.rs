@@ -42,7 +42,7 @@ impl TraceSummary {
         let mut accesses = 0u64;
         let mut instructions = 0u64;
         let mut writes = 0u64;
-        // nucache-audit: allow(nondeterministic-iteration) -- only len() is read
+        #[expect(clippy::disallowed_types, reason = "only len() is read")]
         let mut lines = std::collections::HashSet::new();
         let mut per_pc: BTreeMap<u64, u64> = BTreeMap::new();
         for a in iter {

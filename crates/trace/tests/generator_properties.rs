@@ -1,5 +1,7 @@
 //! Property-based tests over the workload generators.
 
+#![allow(clippy::cast_possible_truncation, reason = "test indices are small")]
+
 use nucache_common::CoreId;
 use nucache_trace::{Behavior, SiteSpec, SpecWorkload, TraceGen, WorkloadSpec};
 use proptest::prelude::*;
@@ -14,7 +16,7 @@ proptest! {
             vec![SiteSpec::new(Behavior::Loop { lines }, 1)],
             (0, 0),
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut min = u64::MAX;
         let mut max = 0;
         for a in TraceGen::new(&spec, CoreId::new(0), 1).take(take) {

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example kernel_quickstart`
 
+#![allow(clippy::expect_used, reason = "an example stops on the first failure")]
+
 use nucache_kernel::{InsertionClass, KernelConfig, Lookup, NucacheKernel};
 
 fn main() {

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
+#![allow(clippy::expect_used, reason = "an example stops on the first failure")]
+
 use nucache_repro::cache::policy::{Dip, Drrip, Fifo, Lru, RandomEvict, TreePlru};
 use nucache_repro::cache::{BasicCache, CacheGeometry, ReplacementPolicy, SharedLlc};
 use nucache_repro::common::table::{f2, Table};

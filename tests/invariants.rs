@@ -1,5 +1,7 @@
 //! Property-based tests of cross-crate structural invariants.
 
+#![allow(clippy::cast_possible_truncation, reason = "test indices are small")]
+
 use nucache_repro::cache::policy::Lru;
 use nucache_repro::cache::{BasicCache, CacheGeometry, SharedLlc};
 use nucache_repro::common::{AccessKind, CoreId, LineAddr, Log2Histogram, Pc};
@@ -139,11 +141,10 @@ proptest! {
     /// not told about, and distances match a brute-force reference.
     #[test]
     fn monitor_matches_bruteforce(evictions in prop::collection::vec((0u64..16, 0u64..4), 1..100)) {
-        use nucache_repro::core::NextUseMonitor;
         let set_bits = 2; // 4 sets
-        let mut monitor = NextUseMonitor::new(set_bits, 0, 64, 24);
+        let mut monitor = nucache_kernel::NextUseMonitor::<Pc>::new(set_bits, 0, 64, 24);
         // Brute-force reference: (line, clock_at_eviction) map per set.
-        let mut reference: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut reference: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         let mut clocks = [0u64; 4];
         for (i, &(tag, set)) in evictions.iter().enumerate() {
             let line = LineAddr::new((tag << set_bits) | set);
