@@ -9,9 +9,11 @@ use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 /// A set-associative cache whose replacement behaviour is supplied by a
 /// [`ReplacementPolicy`].
 ///
-/// Used directly for the private L1/L2 levels and, wrapped in
-/// [`ClassicLlc`](crate::ClassicLlc), for every policy-only shared-LLC
-/// baseline (LRU, DIP, DRRIP, TADIP, …).
+/// Wrapped in [`ClassicLlc`](crate::ClassicLlc), it is every policy-only
+/// shared-LLC baseline (LRU, DIP, DRRIP, TADIP, …). With
+/// [`Lru`](crate::policy::Lru) it is also the reference the private
+/// levels of [`PrivateHierarchy`](crate::hierarchy::PrivateHierarchy)
+/// are tested against.
 ///
 /// Fills prefer invalid ways; the policy is consulted for a victim only
 /// when the set is full. Misses allocate unconditionally (write-allocate),
@@ -110,22 +112,6 @@ impl<P: ReplacementPolicy> BasicCache<P> {
         }
         self.policy.on_fill(set, way, &ctx);
         AccessOutcome::Miss { evicted }
-    }
-
-    /// Re-touches a resident line as a write (hit bookkeeping, recency
-    /// refresh, dirty mark); does nothing when the line is absent. This
-    /// is the write-back absorb path: it behaves exactly like a write
-    /// [`BasicCache::access`] that hits, but a missing line is not a
-    /// recorded miss (and does not allocate) — the write-back simply
-    /// continues downstream.
-    pub fn rehit_write(&mut self, line: LineAddr) {
-        let geom = *self.array.geometry();
-        let set = geom.set_of(line);
-        if let Some(way) = self.array.find(set, geom.tag_of(line)) {
-            self.stats.record_hit();
-            self.policy.on_hit(set, way);
-            self.array.mark_dirty(set, way);
-        }
     }
 
     /// Looks a line up without touching replacement state or counters.

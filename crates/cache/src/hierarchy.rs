@@ -7,11 +7,33 @@
 //! ("mostly-inclusive"), the common design point for this literature:
 //! lines are filled into both levels on the way in, but an eviction at an
 //! outer level does not back-invalidate inner ones.
+//!
+//! # Layout
+//!
+//! Each level stores every set as its LRU stack: a row of `ways` line
+//! addresses in recency order, most recent first, plus a fill count and a
+//! dirty mask in row order. A probe is one [`eq_mask`] over the row,
+//! masked to the filled prefix. A hit rotates the row's prefix so the
+//! line comes first; a miss inserts the line at the front, pushing the
+//! last line out of a full row. There are no per-line core, PC or stamp
+//! columns: nothing downstream of a private level reads them.
+//!
+//! The row is exactly what a stamp-LRU [`BasicCache`](crate::BasicCache)
+//! decides with. The private levels are never invalidated, so a set's
+//! contents and every victim depend only on recency order; which way a
+//! line occupies cannot be observed through [`PrivateHierarchy`]. A dirty
+//! L1 victim re-touches its L2 copy as a write, which refreshes its
+//! recency and sets it dirty; if the L2 copy has already left, the
+//! write-back is dropped, a modelling simplification every figure
+//! depends on. `tests/hierarchy_equivalence.rs` drives this hierarchy and
+//! one composed from two `BasicCache<Lru>`s with the same random streams
+//! and requires equal outcomes at every step. Under the
+//! `debug_invariants` feature each level also runs a `BasicCache<Lru>`
+//! shadow and panics at the first outcome or victim that differs.
 
-use crate::basic::BasicCache;
 use crate::config::CacheGeometry;
-use crate::policy::Lru;
-use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
+use nucache_common::tags::eq_mask;
+use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 
 /// Where a private-hierarchy access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,18 +77,19 @@ impl PrivateOutcome {
 #[derive(Debug)]
 pub struct PrivateHierarchy {
     core: CoreId,
-    l1: BasicCache<Lru>,
-    l2: BasicCache<Lru>,
+    l1: LruLevel,
+    l2: LruLevel,
 }
 
 impl PrivateHierarchy {
     /// Creates an empty private stack for `core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either level's associativity exceeds 64 (one mask word
+    /// per set).
     pub fn new(core: CoreId, l1_geom: CacheGeometry, l2_geom: CacheGeometry) -> Self {
-        PrivateHierarchy {
-            core,
-            l1: BasicCache::new(l1_geom, Lru::new(&l1_geom)),
-            l2: BasicCache::new(l2_geom, Lru::new(&l2_geom)),
-        }
+        PrivateHierarchy { core, l1: LruLevel::new(l1_geom), l2: LruLevel::new(l2_geom) }
     }
 
     /// The owning core.
@@ -74,57 +97,176 @@ impl PrivateHierarchy {
         self.core
     }
 
-    /// L1 counters.
-    pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
-    }
-
-    /// L2 counters.
-    pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
-    }
-
-    /// Resets both levels' counters (contents retained).
-    pub fn reset_stats(&mut self) {
-        self.l1.clear_stats();
-        self.l2.clear_stats();
-    }
-
-    /// Runs one access through L1 then L2.
+    /// Runs one access through L1 then L2. The PC is not read: both
+    /// levels are plain LRU.
     #[inline]
-    pub fn access(&mut self, pc: Pc, line: LineAddr, kind: AccessKind) -> PrivateOutcome {
-        let l1_out = self.l1.access(line, kind, self.core, pc);
-        if l1_out.is_hit() {
-            return PrivateOutcome::L1Hit;
+    pub fn access(&mut self, _pc: Pc, line: LineAddr, kind: AccessKind) -> PrivateOutcome {
+        let write = kind.is_write();
+        match self.l1.access(line, write) {
+            Lookup::Hit => return PrivateOutcome::L1Hit,
+            // A dirty L1 victim is absorbed by its L2 copy, if any.
+            Lookup::Miss(Some((victim, true))) => self.l2.absorb_writeback(victim),
+            Lookup::Miss(_) => {}
         }
-        // A dirty L1 victim is absorbed by the L2 (write-back path): mark
-        // the line dirty there if resident; if it already left the L2 the
-        // write-back proceeds downstream invisibly for our purposes.
-        if let Some(ev) = l1_out.evicted() {
-            if ev.dirty {
-                self.l2_absorb_writeback(ev.line);
+        match self.l2.access(line, write) {
+            Lookup::Hit => PrivateOutcome::L2Hit,
+            Lookup::Miss(victim) => PrivateOutcome::LlcAccess {
+                writeback: victim.and_then(|(v, dirty)| dirty.then_some(v)),
+            },
+        }
+    }
+}
+
+/// What one private level did with an access.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lookup {
+    Hit,
+    /// Missed and filled at the front of the row; carries the line pushed
+    /// off the back of a full row and whether it was dirty.
+    Miss(Option<(LineAddr, bool)>),
+}
+
+/// Per-set bookkeeping beside a row.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowState {
+    /// Bit `i` set when the line at row position `i` is dirty.
+    dirty: u64,
+    /// Lines resident; they occupy the row's first `len` positions.
+    len: u32,
+}
+
+/// One write-back, write-allocate LRU level that is never invalidated
+/// (see the module docs for the layout).
+#[derive(Debug)]
+struct LruLevel {
+    geom: CacheGeometry,
+    /// Set `s` owns `rows[s * ways..(s + 1) * ways]`, most recent first.
+    /// Entries are whole line addresses, so a victim needs no rebuild.
+    rows: Vec<u64>,
+    state: Vec<RowState>,
+    /// The stamp-LRU cache this level must agree with, step for step.
+    #[cfg(feature = "debug_invariants")]
+    shadow: crate::BasicCache<crate::policy::Lru>,
+}
+
+/// Mask of the first `len` row positions.
+#[inline(always)]
+fn prefix_mask(len: u32) -> u64 {
+    u64::MAX.checked_shr(64 - len).unwrap_or(0)
+}
+
+impl LruLevel {
+    fn new(geom: CacheGeometry) -> Self {
+        assert!((1..=64).contains(&geom.associativity()), "associativity above 64 unsupported");
+        LruLevel {
+            geom,
+            rows: vec![0; geom.num_lines()],
+            state: vec![RowState::default(); geom.num_sets()],
+            #[cfg(feature = "debug_invariants")]
+            shadow: crate::BasicCache::new(geom, crate::policy::Lru::new(&geom)),
+        }
+    }
+
+    /// The row and state of `line`'s set, and the row position holding
+    /// `line` if it is resident.
+    #[inline(always)]
+    fn probe(&mut self, line: LineAddr) -> (&mut [u64], &mut RowState, Option<usize>) {
+        let set = self.geom.set_of(line);
+        let ways = self.geom.associativity();
+        let row = &mut self.rows[set * ways..(set + 1) * ways];
+        let st = &mut self.state[set];
+        let hits = eq_mask(row, line.0) & prefix_mask(st.len);
+        let pos = (hits != 0).then(|| hits.trailing_zeros() as usize);
+        (row, st, pos)
+    }
+
+    /// One demand access: a hit moves the line to the front, a miss
+    /// inserts it there.
+    #[inline]
+    fn access(&mut self, line: LineAddr, write: bool) -> Lookup {
+        let (row, st, pos) = self.probe(line);
+        let out = match pos {
+            Some(pos) => {
+                promote(row, st, pos, write);
+                Lookup::Hit
             }
-        }
-        let l2_out = self.l2.access(line, kind, self.core, pc);
-        if l2_out.is_hit() {
-            return PrivateOutcome::L2Hit;
-        }
-        let writeback = l2_out.evicted().filter(|ev| ev.dirty).map(|ev| ev.line);
-        PrivateOutcome::LlcAccess { writeback }
+            None => {
+                let ways = row.len();
+                let victim = if st.len as usize == ways {
+                    Some((LineAddr(row[ways - 1]), (st.dirty >> (ways - 1)) & 1 != 0))
+                } else {
+                    st.len += 1;
+                    None
+                };
+                let len = st.len;
+                push_front(row, len as usize, line.0);
+                st.dirty = ((st.dirty << 1) | u64::from(write)) & prefix_mask(len);
+                Lookup::Miss(victim)
+            }
+        };
+        #[cfg(feature = "debug_invariants")]
+        self.check_access(line, write, out);
+        out
     }
 
-    fn l2_absorb_writeback(&mut self, line: LineAddr) {
-        // Re-touch as a write so the line is marked dirty; this also
-        // (reasonably) refreshes its recency. The probe-then-touch is a
-        // single tag lookup; a missing line means the write-back already
-        // left the L2 and proceeds downstream invisibly for our purposes.
-        self.l2.rehit_write(line);
+    /// Absorbs a write-back from the level above: a resident copy is
+    /// re-touched as a write hit; a missing one is dropped.
+    #[inline]
+    fn absorb_writeback(&mut self, line: LineAddr) {
+        let (row, st, pos) = self.probe(line);
+        if let Some(pos) = pos {
+            promote(row, st, pos, true);
+        }
+        #[cfg(feature = "debug_invariants")]
+        self.check_writeback(line, pos.is_some());
     }
 
-    /// Total demand accesses seen at L1.
-    pub fn demand_accesses(&self) -> u64 {
-        self.l1.stats().accesses()
+    #[cfg(feature = "debug_invariants")]
+    fn check_access(&mut self, line: LineAddr, write: bool, got: Lookup) {
+        use crate::meta::AccessOutcome;
+        let kind = if write { AccessKind::Write } else { AccessKind::Read };
+        let want = match self.shadow.access(line, kind, CoreId::new(0), Pc::new(0)) {
+            AccessOutcome::Hit => Lookup::Hit,
+            AccessOutcome::Miss { evicted } => Lookup::Miss(evicted.map(|ev| (ev.line, ev.dirty))),
+        };
+        assert_eq!(
+            got, want,
+            "private LRU level diverged from its BasicCache<Lru> shadow at {line}"
+        );
     }
+
+    #[cfg(feature = "debug_invariants")]
+    fn check_writeback(&mut self, line: LineAddr, absorbed: bool) {
+        let resident = self.shadow.probe(line);
+        if resident {
+            self.shadow.access(line, AccessKind::Write, CoreId::new(0), Pc::new(0));
+        }
+        assert_eq!(
+            absorbed, resident,
+            "private LRU level diverged from its BasicCache<Lru> shadow on the write-back of {line}"
+        );
+    }
+}
+
+/// Moves `row[..n - 1]` one position back and writes `line` at the front.
+#[inline(always)]
+fn push_front(row: &mut [u64], n: usize, line: u64) {
+    let row = &mut row[..n];
+    for i in (1..row.len()).rev() {
+        row[i] = row[i - 1];
+    }
+    row[0] = line;
+}
+
+/// Moves row position `pos` to the front, carrying its dirty bit, and
+/// marks it dirty on a write.
+#[inline(always)]
+fn promote(row: &mut [u64], st: &mut RowState, pos: usize, write: bool) {
+    push_front(row, pos + 1, row[pos]);
+    let below = (1u64 << pos) - 1;
+    let moved = (st.dirty >> pos) & 1;
+    let above = st.dirty & !(below | (1 << pos));
+    st.dirty = above | ((st.dirty & below) << 1) | moved | u64::from(write);
 }
 
 #[cfg(test)]
@@ -186,14 +328,5 @@ mod tests {
                 assert_eq!(writeback, None, "all lines are clean");
             }
         }
-    }
-
-    #[test]
-    fn stats_reset_keeps_contents() {
-        let mut h = tiny();
-        read(&mut h, 0);
-        h.reset_stats();
-        assert_eq!(h.demand_accesses(), 0);
-        assert_eq!(read(&mut h, 0), PrivateOutcome::L1Hit);
     }
 }

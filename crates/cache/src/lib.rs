@@ -8,7 +8,7 @@
 //! * [`ReplacementPolicy`] and implementations (LRU, FIFO, Random, NRU,
 //!   tree-PLRU, SRRIP/BRRIP/DRRIP, LIP/BIP/DIP, TADIP-F);
 //! * [`BasicCache`] — a policy-driven set-associative cache used for the
-//!   private levels and for classic shared-LLC baselines;
+//!   classic shared-LLC baselines;
 //! * set-dueling machinery ([`dueling::DuelingSelector`]);
 //! * sampled shadow tag directories and UCP's UMON utility monitor
 //!   ([`shadow`]);

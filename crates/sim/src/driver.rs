@@ -256,7 +256,6 @@ fn run_mix_impl<L: SharedLlc + ?Sized>(
     let warmup_issued: u64 = cores.iter().map(|c| c.accesses).sum();
     llc.reset_stats();
     for c in &mut cores {
-        c.hierarchy.reset_stats();
         c.clock.reset();
         c.accesses = 0;
     }
