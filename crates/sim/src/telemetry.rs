@@ -205,10 +205,18 @@ pub fn stream_path(dir: &Path, index: usize, mix: &str, scheme: &str) -> PathBuf
 }
 
 /// Best-effort current git revision, read directly from `.git` (no
-/// subprocess, works offline): resolves `HEAD` through one level of
-/// `ref:` indirection, falling back to `packed-refs`.
+/// subprocess, works offline): the first `.git` directory at or above the
+/// current directory, resolved as `git_revision_from` does.
 pub fn git_revision() -> Option<String> {
-    let root = find_git_dir()?;
+    git_revision_from(&std::env::current_dir().ok()?)
+}
+
+/// The revision of the first `.git` directory at or above `start`:
+/// resolves `HEAD` through one level of `ref:` indirection, to the loose
+/// ref file or else its `packed-refs` line. `None` when there is no
+/// `.git` or the ref cannot be read.
+fn git_revision_from(start: &Path) -> Option<String> {
+    let root = start.ancestors().map(|d| d.join(".git")).find(|g| g.is_dir())?;
     let head = std::fs::read_to_string(root.join("HEAD")).ok()?;
     let head = head.trim();
     let Some(refname) = head.strip_prefix("ref: ") else {
@@ -220,22 +228,8 @@ pub fn git_revision() -> Option<String> {
     let packed = std::fs::read_to_string(root.join("packed-refs")).ok()?;
     packed
         .lines()
-        .filter(|l| !l.starts_with('#') && !l.starts_with('^'))
-        .find_map(|l| l.strip_suffix(refname).map(|rev| rev.trim().to_string()))
-}
-
-/// Walks up from the current directory looking for a `.git` directory.
-fn find_git_dir() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let candidate = dir.join(".git");
-        if candidate.is_dir() {
-            return Some(candidate);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
+        .filter_map(|l| l.split_once(' '))
+        .find_map(|(rev, name)| (name.trim() == refname).then(|| rev.to_string()))
 }
 
 /// Everything needed to reproduce one telemetered run, serialized as
@@ -353,15 +347,78 @@ mod tests {
 
     #[test]
     fn git_revision_resolves_in_this_repo() {
-        // The workspace is a git repository; the revision must resolve
-        // to a 40-hex-digit commit id.
-        let rev = git_revision().expect("repo has a revision");
-        assert_eq!(rev.len(), 40, "unexpected revision '{rev}'");
-        assert!(rev.chars().all(|c| c.is_ascii_hexdigit()));
+        // In a checkout the revision must resolve to a 40-hex-digit commit
+        // id; a source export with no `.git` above it has none.
+        let cwd = std::env::current_dir().unwrap();
+        let in_checkout = cwd.ancestors().any(|d| d.join(".git").is_dir());
+        match git_revision() {
+            Some(rev) => {
+                assert!(in_checkout, "revision '{rev}' found outside a checkout");
+                assert_eq!(rev.len(), 40, "unexpected revision '{rev}'");
+                assert!(rev.chars().all(|c| c.is_ascii_hexdigit()));
+            }
+            None => assert!(!in_checkout, "a checkout must resolve a revision"),
+        }
+    }
+
+    /// Builds `dir/.git` with `HEAD` and the given `(path, contents)` files.
+    fn fake_git(dir: &Path, head: &str, files: &[(&str, String)]) {
+        let git = dir.join(".git");
+        std::fs::create_dir_all(&git).unwrap();
+        std::fs::write(git.join("HEAD"), head).unwrap();
+        for (path, contents) in files {
+            let path = git.join(path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, contents).unwrap();
+        }
+    }
+
+    #[test]
+    fn git_revision_reads_loose_packed_and_detached_heads() {
+        let tmp = std::env::temp_dir().join(format!("nucache-gitrev-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&tmp);
+        let rev = |c: char| c.to_string().repeat(40);
+
+        // HEAD -> loose ref, found by walking up from a subdirectory.
+        let loose = tmp.join("loose");
+        fake_git(&loose, "ref: refs/heads/main\n", &[("refs/heads/main", rev('a') + "\n")]);
+        let sub = loose.join("crates/sim");
+        std::fs::create_dir_all(&sub).unwrap();
+        assert_eq!(git_revision_from(&sub), Some(rev('a')));
+
+        // HEAD -> a ref that exists only in packed-refs.
+        let packed = tmp.join("packed");
+        let table = format!(
+            "# pack-refs with: peeled fully-peeled sorted\n{} refs/heads/dev\n{} refs/heads/main\n^{}\n",
+            rev('b'),
+            rev('c'),
+            rev('d')
+        );
+        fake_git(&packed, "ref: refs/heads/main\n", &[("packed-refs", table)]);
+        assert_eq!(git_revision_from(&packed), Some(rev('c')));
+
+        // A ref in neither place does not resolve.
+        let dangling = tmp.join("dangling");
+        fake_git(&dangling, "ref: refs/heads/gone\n", &[]);
+        assert_eq!(git_revision_from(&dangling), None);
+
+        // Detached HEAD holds the commit id itself.
+        let detached = tmp.join("detached");
+        fake_git(&detached, &(rev('e') + "\n"), &[]);
+        assert_eq!(git_revision_from(&detached), Some(rev('e')));
+
+        // No `.git` anywhere above: no revision.
+        let bare = tmp.join("bare");
+        std::fs::create_dir_all(&bare).unwrap();
+        if !bare.ancestors().any(|d| d.join(".git").is_dir()) {
+            assert_eq!(git_revision_from(&bare), None);
+        }
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     #[test]
     fn manifest_round_trips_and_lists_streams() {
+        const REV: &str = "0123456789abcdef0123456789abcdef01234567";
         let dir = std::env::temp_dir().join(format!("nucache-manifest-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -371,7 +428,7 @@ mod tests {
         let manifest = Manifest {
             experiment: "unit_test".into(),
             argv: vec!["--telemetry".into(), dir.display().to_string()],
-            git_revision: git_revision(),
+            git_revision: Some(REV.into()),
             wall_seconds: 1.5,
             jobs: 4,
             quick: true,
@@ -396,7 +453,7 @@ mod tests {
         assert_eq!(streams[0].as_str(), Some("000_m__s.jsonl"), "sorted");
         let config = parsed.get("config").unwrap();
         assert!(config.get("llc_bytes").unwrap().as_u64().unwrap() > 0);
-        assert!(parsed.get("git_revision").unwrap().as_str().is_some());
+        assert_eq!(parsed.get("git_revision").unwrap().as_str(), Some(REV));
         let failures = parsed.get("failures").unwrap().as_arr().unwrap();
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].get("stage").unwrap().as_str(), Some("fig5"));
