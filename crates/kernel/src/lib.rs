@@ -82,9 +82,16 @@
 //! # Ok::<(), nucache_kernel::ConfigError>(())
 //! ```
 //!
-//! Keys are plain `u64`s: the low `log2(sets)` bits pick the set, the
-//! rest are the tag, so any stable unique id works (a line address, an
-//! object id, a hash of a URL).
+//! Keys are plain `u64`s: the low `log2(sets)` bits pick the set and the
+//! rest are the tag. Distinct keys never alias, but only those low bits
+//! spread keys over the sets. Keys that are all multiples of `2^k` use
+//! only `sets / 2^k` of them, and keys spaced a multiple of `sets` apart
+//! all land in one set, which then holds `ways` entries however many
+//! keys are live. Ids whose low bits vary freely (a hash of a URL, a
+//! dense counter) can be keys as they are. For aligned or strided ids
+//! (byte addresses, ids with a type tag in the low bits) pass
+//! `nucache_common::mix64(id)` instead: it is a bijection, so unique ids
+//! stay unique, and it spreads any stride over every set.
 //!
 //! # Choosing insertion classes
 //!
