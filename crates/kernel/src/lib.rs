@@ -47,8 +47,10 @@
 //!    halve, so selection adapts to phase changes while keeping
 //!    history.
 //!
-//! Between epochs the data path is cheap: a MainWays hit touches an
-//! LRU stamp and allocates nothing.
+//! Between epochs the data path is cheap: a MainWays hit reorders the
+//! set's 8-bit LRU ranks and allocates nothing, and every lookup a miss
+//! adds (the miss tracker, the chosen-class test, the Next-Use buffer)
+//! takes constant time.
 //!
 //! # Quickstart
 //!
@@ -133,6 +135,7 @@ pub mod class;
 #[cfg(feature = "concurrent")]
 pub mod concurrent;
 pub mod config;
+mod index;
 pub mod kernel;
 pub mod monitor;
 pub mod selector;
