@@ -1,6 +1,7 @@
 //! Kernel configuration: geometry, policy knobs and the selection
 //! strategy, validated by [`NucacheKernel::init`](crate::NucacheKernel::init).
 
+use crate::index::MAX_SLOTS;
 use core::fmt;
 
 /// How the set of chosen insertion classes is computed each epoch.
@@ -58,6 +59,18 @@ pub const DEFAULT_MONITOR_DEPTH: usize = 64;
 /// Default buckets per per-class Next-Use histogram.
 pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 32;
 
+/// Fewest slots the delinquency tracker gets, however small
+/// `max_candidates` is.
+const MIN_TRACKER_SLOTS: usize = 256;
+
+/// The largest allocation `Vec` makes, in bytes; it panics past it.
+const MAX_ALLOCATION: usize = isize::MAX as usize;
+
+/// Whether `count` elements of `bytes` bytes each fit one allocation.
+pub(crate) fn fits(count: usize, bytes: usize) -> bool {
+    count.checked_mul(bytes).is_some_and(|total| total <= MAX_ALLOCATION)
+}
+
 /// Configuration of a [`NucacheKernel`](crate::NucacheKernel).
 ///
 /// The policy defaults are the design point of the simulator's headline
@@ -76,6 +89,8 @@ pub struct KernelConfig {
     /// Accesses between class re-selections.
     pub epoch_len: u64,
     /// How many of the most-missing classes are candidates for selection.
+    /// The delinquency tracker holds `max(256, max_candidates)` classes,
+    /// at most 2^31.
     pub max_candidates: usize,
     /// Candidate-pool cap for [`SelectionStrategy::Exhaustive`].
     pub oracle_pool: usize,
@@ -163,9 +178,30 @@ impl KernelConfig {
         self
     }
 
+    /// Entries the kernel's frame arrays hold: `sets × ways`, if that
+    /// does not overflow.
+    pub(crate) fn frames(&self) -> Option<usize> {
+        self.sets.checked_mul(self.ways)
+    }
+
+    /// Slots of the kernel's delinquency tracker.
+    pub(crate) fn tracker_slots(&self) -> usize {
+        MIN_TRACKER_SLOTS.max(self.max_candidates)
+    }
+
+    /// Buffered evictions across the Next-Use monitor's sampled sets:
+    /// `sampled sets × monitor_depth`, if that does not overflow.
+    pub(crate) fn monitor_slots(&self) -> Option<usize> {
+        let set_bits = self.sets.trailing_zeros();
+        (self.sets >> self.monitor_shift.min(set_bits)).checked_mul(self.monitor_depth)
+    }
+
     /// Validates the configuration ([`NucacheKernel::init`](crate::NucacheKernel::init)
     /// calls this; exposed so embedders can check untrusted configs
-    /// without constructing).
+    /// without constructing). Besides the value ranges it checks that
+    /// every array `init` allocates has a size that fits an allocation;
+    /// `init` repeats the checks that depend on the value and class
+    /// types.
     ///
     /// # Errors
     ///
@@ -194,6 +230,18 @@ impl KernelConfig {
         }
         if self.oracle_pool == 0 || self.oracle_pool > 20 {
             return Err(ConfigError::OraclePoolOutOfRange(self.oracle_pool));
+        }
+        // A frame holds at least an 8-byte tag. The monitor keeps an
+        // 8-byte tag per buffer slot and a 16-byte clock per sampled set,
+        // and every sampled set has at least one slot.
+        if !self.frames().is_some_and(|f| fits(f, 8)) {
+            return Err(ConfigError::TooManyFrames { sets: self.sets, ways: self.ways });
+        }
+        if self.tracker_slots() > MAX_SLOTS {
+            return Err(ConfigError::TrackerTooLarge(self.max_candidates));
+        }
+        if !self.monitor_slots().is_some_and(|n| fits(n, 16)) {
+            return Err(ConfigError::MonitorTooLarge(self.monitor_depth));
         }
         Ok(())
     }
@@ -224,6 +272,19 @@ pub enum ConfigError {
     /// `oracle_pool` must be in `1..=20` (the exhaustive search is
     /// exponential in it).
     OraclePoolOutOfRange(usize),
+    /// `sets × ways` frames must fit one allocation.
+    TooManyFrames {
+        /// Number of sets.
+        sets: usize,
+        /// Ways per set.
+        ways: usize,
+    },
+    /// `max_candidates` must leave the delinquency tracker at most 2^31
+    /// slots, the most its class index can number.
+    TrackerTooLarge(usize),
+    /// The sampled sets' `monitor_depth`-entry eviction buffers must fit
+    /// one allocation.
+    MonitorTooLarge(usize),
 }
 
 impl fmt::Display for ConfigError {
@@ -245,6 +306,15 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::OraclePoolOutOfRange(p) => {
                 write!(f, "oracle_pool must be in 1..=20, got {p}")
+            }
+            ConfigError::TooManyFrames { sets, ways } => {
+                write!(f, "{sets} sets x {ways} ways is too many frames to allocate")
+            }
+            ConfigError::TrackerTooLarge(m) => {
+                write!(f, "max_candidates must be at most 2^31, got {m}")
+            }
+            ConfigError::MonitorTooLarge(d) => {
+                write!(f, "monitor_depth {d} makes the sampled buffers too large to allocate")
             }
         }
     }
@@ -293,6 +363,45 @@ mod tests {
         assert_eq!(bad(c), ConfigError::HistogramBucketsOutOfRange(65));
         let c = KernelConfig { oracle_pool: 21, ..KernelConfig::default() };
         assert_eq!(bad(c), ConfigError::OraclePoolOutOfRange(21));
+    }
+
+    /// Configurations whose sizes overflow what `init` allocates.
+    fn oversized() -> [(KernelConfig, ConfigError); 3] {
+        let d = KernelConfig::default();
+        [
+            (d.with_sets(1 << 62), ConfigError::TooManyFrames { sets: 1 << 62, ways: 16 }),
+            (
+                KernelConfig { max_candidates: usize::MAX, ..d },
+                ConfigError::TrackerTooLarge(usize::MAX),
+            ),
+            (
+                KernelConfig { monitor_depth: usize::MAX / 2, ..d },
+                ConfigError::MonitorTooLarge(usize::MAX / 2),
+            ),
+        ]
+    }
+
+    /// Each oversized configuration is an `Err` from `validate`, from
+    /// `NucacheKernel::init` and from `ConcurrentNucache::init`, not a
+    /// "capacity overflow" panic.
+    #[test]
+    fn oversized_allocations_are_rejected() {
+        for (config, err) in oversized() {
+            assert_eq!(config.validate(), Err(err));
+            let kernel = crate::NucacheKernel::<u64>::init(config);
+            assert_eq!(kernel.map(|_| ()), Err(err));
+            #[cfg(feature = "concurrent")]
+            {
+                use crate::concurrent::{ConcurrentConfig, ConcurrentNucache};
+                let cache = ConcurrentNucache::<u64>::init(ConcurrentConfig::new(2, config));
+                assert_eq!(cache.map(|_| ()), Err(err));
+            }
+        }
+        let d = KernelConfig::default();
+        KernelConfig { max_candidates: 1 << 31, ..d }.validate().expect("2^31 tracker slots");
+        d.with_sets(1 << 40).validate().expect("2^40 sets");
+        assert!(!fits(usize::MAX / 8 + 1, 8));
+        assert!(fits(MAX_ALLOCATION, 1) && !fits(MAX_ALLOCATION / 2 + 1, 2));
     }
 
     #[test]
