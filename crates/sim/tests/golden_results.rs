@@ -13,10 +13,14 @@
 //! configurations, two seeds each, plus `run_solo` for each of the mix's
 //! workloads. The demo configuration keeps its tiny private levels and
 //! LLC at four cores; the baseline rows push 25k accesses per core
-//! through the 8-way, 512-set L2, so it fills and evicts.
+//! through the 8-way, 512-set L2, so it fills and evicts. Both use a
+//! 16-way LLC, so the `demo-8way` and `demo-32way` rows rerun the eight
+//! schemes (seed 1) with the demo's 64 KiB LLC at 8 and 32 ways: every
+//! per-set replacement row is then pinned at three widths.
 
 #![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
 
+use nucache_cache::CacheGeometry;
 use nucache_sim::{run_mix, run_solo, CoreResult, Scheme, SimConfig, SimResult};
 use nucache_trace::Mix;
 
@@ -71,6 +75,22 @@ const EXPECTED: &[(&str, u64)] = &[
     ("baseline/2/solo/libquantum_like", 0x0763aee36e6c703f),
     ("baseline/2/solo/mcf_like", 0x0564843a8b91ab13),
     ("baseline/2/solo/lbm_like", 0xd420e9b0db23564d),
+    ("demo-8way/1/lru", 0xd34e001a4f44b606),
+    ("demo-8way/1/dip", 0x5a0e40e2adc1fb9f),
+    ("demo-8way/1/drrip", 0x96ace4171b3f8601),
+    ("demo-8way/1/tadip", 0x353c9dafd3557792),
+    ("demo-8way/1/ucp", 0xed08809818a3e4ea),
+    ("demo-8way/1/pipp", 0x3ff8903741bb157c),
+    ("demo-8way/1/ship-pc", 0x7a6067d3c3b24572),
+    ("demo-8way/1/nucache-d8", 0xfc9332f97cdbbeaf),
+    ("demo-32way/1/lru", 0x9beb9b54ba31b40d),
+    ("demo-32way/1/dip", 0xf4549d57754a0dfa),
+    ("demo-32way/1/drrip", 0x29407a96cd6f310e),
+    ("demo-32way/1/tadip", 0x6b12171c3674f0db),
+    ("demo-32way/1/ucp", 0xbc3248977c4f2a55),
+    ("demo-32way/1/pipp", 0x844c4c263fe9229a),
+    ("demo-32way/1/ship-pc", 0xfd6bb118b99c5a9d),
+    ("demo-32way/1/nucache-d8", 0xfe0bd9a0fe72c59c),
 ];
 
 /// FNV-1a over little-endian words.
@@ -170,6 +190,16 @@ fn computed() -> Vec<(String, u64)> {
                 d.core(&run_solo(&config, w));
                 rows.push((format!("{label}/{seed}/solo/{}", w.name()), d.0));
             }
+        }
+    }
+    for ways in [8usize, 32] {
+        let demo = SimConfig::demo().with_cores(4);
+        let llc = CacheGeometry::new(demo.llc.size_bytes(), ways, demo.llc.block_bytes());
+        let config = demo.with_llc(llc).with_seed(1);
+        for scheme in schemes() {
+            let mut d = Digest::new();
+            d.result(&run_mix(&config, &mix, &scheme));
+            rows.push((format!("demo-{ways}way/1/{}", scheme.name()), d.0));
         }
     }
     rows
