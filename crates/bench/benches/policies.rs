@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use nucache_bench::{drive_policy_cache, mixed_pattern};
-use nucache_cache::policy::{
-    Bip, Dip, Drrip, Fifo, Lip, Lru, Nru, RandomEvict, Srrip, TadipF, TreePlru,
-};
+use nucache_cache::policy::{Dip, Drrip, Lru, ShipPc, TadipF};
 use nucache_cache::{BasicCache, CacheGeometry, ReplacementPolicy};
 use std::hint::black_box;
 
@@ -32,15 +30,9 @@ fn bench_policies(c: &mut Criterion) {
     }
 
     case(&mut group, &pattern, geom, "lru", || Lru::new(&geom));
-    case(&mut group, &pattern, geom, "fifo", || Fifo::new(&geom));
-    case(&mut group, &pattern, geom, "random", || RandomEvict::new(&geom, 1));
-    case(&mut group, &pattern, geom, "nru", || Nru::new(&geom));
-    case(&mut group, &pattern, geom, "plru", || TreePlru::new(&geom));
-    case(&mut group, &pattern, geom, "lip", || Lip::new(&geom));
-    case(&mut group, &pattern, geom, "bip", || Bip::new(&geom, 1));
     case(&mut group, &pattern, geom, "dip", || Dip::new(&geom, 1));
-    case(&mut group, &pattern, geom, "srrip", || Srrip::new(&geom));
     case(&mut group, &pattern, geom, "drrip", || Drrip::new(&geom, 1));
+    case(&mut group, &pattern, geom, "ship", || ShipPc::new(&geom));
     case(&mut group, &pattern, geom, "tadip", || TadipF::new(&geom, 2, 1));
     group.finish();
 }

@@ -5,8 +5,8 @@
 //!
 //! * [`CacheGeometry`] — size/associativity/block-size arithmetic;
 //! * [`SetArray`] — raw tag storage with lookup/fill/invalidate helpers;
-//! * [`ReplacementPolicy`] and implementations (LRU, FIFO, Random, NRU,
-//!   tree-PLRU, SRRIP/BRRIP/DRRIP, LIP/BIP/DIP, TADIP-F);
+//! * [`ReplacementPolicy`] and the implementations the schemes run (LRU,
+//!   DIP, DRRIP, SHiP-PC, TADIP-F);
 //! * [`BasicCache`] — a policy-driven set-associative cache used for the
 //!   classic shared-LLC baselines;
 //! * set-dueling machinery ([`dueling::DuelingSelector`]);

@@ -1,8 +1,6 @@
 //! Property-based tests over every replacement policy.
 
-use nucache_cache::policy::{
-    Bip, Dip, Drrip, Fifo, Lip, Lru, Nru, RandomEvict, Srrip, TadipF, TreePlru,
-};
+use nucache_cache::policy::{Dip, Drrip, Lru, ShipPc, TadipF};
 use nucache_cache::{BasicCache, CacheGeometry, ReplacementPolicy};
 use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 use proptest::prelude::*;
@@ -48,15 +46,9 @@ macro_rules! policy_property {
 }
 
 policy_property!(lru_invariants, Lru::new(&geom()));
-policy_property!(fifo_invariants, Fifo::new(&geom()));
-policy_property!(random_invariants, RandomEvict::new(&geom(), 1));
-policy_property!(nru_invariants, Nru::new(&geom()));
-policy_property!(plru_invariants, TreePlru::new(&geom()));
-policy_property!(lip_invariants, Lip::new(&geom()));
-policy_property!(bip_invariants, Bip::new(&geom(), 1));
 policy_property!(dip_invariants, Dip::new(&geom(), 1));
-policy_property!(srrip_invariants, Srrip::new(&geom()));
 policy_property!(drrip_invariants, Drrip::new(&geom(), 1));
+policy_property!(ship_invariants, ShipPc::new(&geom()));
 policy_property!(tadip_invariants, TadipF::new(&geom(), 2, 1));
 
 proptest! {
@@ -82,10 +74,10 @@ proptest! {
     fn direct_mapped_equivalence(trace in prop::collection::vec(0u64..64, 1..200)) {
         let g = CacheGeometry::new(64 * 8, 1, 64); // 8 sets, direct-mapped
         let mut lru = BasicCache::new(g, Lru::new(&g));
-        let mut fifo = BasicCache::new(g, Fifo::new(&g));
+        let mut drrip = BasicCache::new(g, Drrip::new(&g, 1));
         for &line in &trace {
             let a = lru.access(LineAddr::new(line), AccessKind::Read, CoreId::new(0), Pc::new(0));
-            let b = fifo.access(LineAddr::new(line), AccessKind::Read, CoreId::new(0), Pc::new(0));
+            let b = drrip.access(LineAddr::new(line), AccessKind::Read, CoreId::new(0), Pc::new(0));
             prop_assert_eq!(a.is_hit(), b.is_hit(), "direct-mapped caches are policy-free");
         }
     }

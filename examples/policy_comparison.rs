@@ -1,8 +1,8 @@
 //! Compare replacement policies on a single thrash-prone workload.
 //!
 //! Demonstrates the cache substrate on its own: the same access stream is
-//! replayed against LRU, FIFO, random, PLRU, DIP, DRRIP and NUcache, and
-//! the hit rates are tabulated. The workload is the classic mixed
+//! replayed against LRU, DIP, DRRIP, SHiP-PC and NUcache, and the hit
+//! rates are tabulated. The workload is the classic mixed
 //! pattern that separates the policies: a reusable loop slightly larger
 //! than the LRU reach, plus a polluting scan.
 //!
@@ -10,7 +10,7 @@
 
 #![allow(clippy::expect_used, reason = "an example stops on the first failure")]
 
-use nucache_repro::cache::policy::{Dip, Drrip, Fifo, Lru, RandomEvict, TreePlru};
+use nucache_repro::cache::policy::{Dip, Drrip, Lru, ShipPc};
 use nucache_repro::cache::{BasicCache, CacheGeometry, ReplacementPolicy, SharedLlc};
 use nucache_repro::common::table::{f2, Table};
 use nucache_repro::common::{AccessKind, CoreId, LineAddr, Pc};
@@ -49,11 +49,9 @@ fn main() {
     let geom = CacheGeometry::new(256 * 1024, 16, 64);
     let mut rows: Vec<(String, f64)> = vec![
         run_policy(geom, Lru::new(&geom)),
-        run_policy(geom, Fifo::new(&geom)),
-        run_policy(geom, RandomEvict::new(&geom, 1)),
-        run_policy(geom, TreePlru::new(&geom)),
         run_policy(geom, Dip::new(&geom, 1)),
         run_policy(geom, Drrip::new(&geom, 1)),
+        run_policy(geom, ShipPc::new(&geom)),
     ];
 
     // NUcache with 8 of 16 ways as DeliWays and a fast epoch.
