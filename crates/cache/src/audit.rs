@@ -1,6 +1,6 @@
 //! Differential audit oracle for the tag substrate.
 //!
-//! The struct-of-arrays [`SetArray`](crate::SetArray) is the hot probe
+//! The packed [`SetArray`](crate::SetArray) is the hot probe
 //! path of every simulation; its bitmask tricks are exactly the kind of
 //! code where an off-by-one silently corrupts results instead of
 //! crashing. This module provides the textbook model to check it

@@ -7,7 +7,8 @@ use crate::policy::{FillCtx, ReplacementPolicy};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 
 /// A set-associative cache whose replacement behaviour is supplied by a
-/// [`ReplacementPolicy`].
+/// [`ReplacementPolicy`], which keeps its per-way state in the policy
+/// row of each [`SetArray`] set.
 ///
 /// Wrapped in [`ClassicLlc`](crate::ClassicLlc), it is every policy-only
 /// shared-LLC baseline (LRU, DIP, DRRIP, TADIP, …). With
@@ -93,7 +94,7 @@ impl<P: ReplacementPolicy> BasicCache<P> {
         let tag = geom.tag_of(line);
         if let Some(way) = self.array.find(set, tag) {
             self.stats.record_hit();
-            self.policy.on_hit(set, way);
+            self.policy.on_hit(set, way, self.array.policy_row_mut(set));
             if kind.is_write() {
                 self.array.mark_dirty(set, way);
             }
@@ -104,13 +105,13 @@ impl<P: ReplacementPolicy> BasicCache<P> {
         self.policy.on_miss(set, &ctx);
         let way = match self.array.invalid_way(set) {
             Some(w) => w,
-            None => self.policy.victim(set),
+            None => self.policy.victim(set, self.array.policy_row_mut(set)),
         };
         let evicted = self.array.fill(set, way, LineMeta::new(tag, core, pc, kind.is_write()));
         if let Some(ev) = evicted {
             self.stats.record_eviction(ev.dirty);
         }
-        self.policy.on_fill(set, way, &ctx);
+        self.policy.on_fill(set, way, &ctx, self.array.policy_row_mut(set));
         AccessOutcome::Miss { evicted }
     }
 
@@ -127,7 +128,7 @@ impl<P: ReplacementPolicy> BasicCache<P> {
         let way = self.array.find(set, geom.tag_of(line))?;
         #[expect(clippy::expect_used, reason = "`find` just returned this way, so it holds a line")]
         let ev = self.array.invalidate(set, way).expect("found way is valid");
-        self.policy.on_invalidate(set, way);
+        self.policy.on_invalidate(set, way, self.array.policy_row_mut(set));
         Some(ev.dirty)
     }
 

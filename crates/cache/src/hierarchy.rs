@@ -15,11 +15,11 @@
 //! dirty mask in row order. A probe is one [`eq_mask`] over the row,
 //! masked to the filled prefix. A hit rotates the row's prefix so the
 //! line comes first; a miss inserts the line at the front, pushing the
-//! last line out of a full row. There are no per-line core, PC or stamp
+//! last line out of a full row. There are no per-line core, PC or rank
 //! columns: nothing downstream of a private level reads them.
 //!
-//! The row is exactly what a stamp-LRU [`BasicCache`](crate::BasicCache)
-//! decides with. The private levels are never invalidated, so a set's
+//! The row is exactly what an LRU [`BasicCache`](crate::BasicCache), with
+//! its per-way recency ranks, decides with. The private levels are never invalidated, so a set's
 //! contents and every victim depend only on recency order; which way a
 //! line occupies cannot be observed through [`PrivateHierarchy`]. A dirty
 //! L1 victim re-touches its L2 copy as a write, which refreshes its
@@ -144,7 +144,7 @@ struct LruLevel {
     /// Entries are whole line addresses, so a victim needs no rebuild.
     rows: Vec<u64>,
     state: Vec<RowState>,
-    /// The stamp-LRU cache this level must agree with, step for step.
+    /// The rank-LRU cache this level must agree with, step for step.
     #[cfg(feature = "debug_invariants")]
     shadow: crate::BasicCache<crate::policy::Lru>,
 }

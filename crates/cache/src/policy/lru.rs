@@ -2,12 +2,13 @@
 
 use crate::config::CacheGeometry;
 use crate::policy::{FillCtx, ReplacementPolicy};
+use nucache_common::tags::{rank_oldest, rank_touch};
 
-/// Least-recently-used replacement using per-way last-touch stamps.
+/// Least-recently-used replacement over each set's rank row.
 ///
-/// A monotone counter stamps every hit and fill; the victim is the way
-/// with the oldest stamp. With the small associativities of real caches a
-/// linear minimum scan beats maintaining a linked stack.
+/// Every hit and fill moves the way to rank 0 ([`rank_touch`]); the
+/// victim is the way at the last rank ([`rank_oldest`]). The ranks live
+/// in the set's policy row, so the policy itself holds no state.
 ///
 /// # Examples
 ///
@@ -17,56 +18,31 @@ use crate::policy::{FillCtx, ReplacementPolicy};
 /// let cache = BasicCache::new(geom, Lru::new(&geom));
 /// assert_eq!(cache.policy().name(), "lru");
 /// ```
-#[derive(Debug, Clone)]
-pub struct Lru {
-    assoc: usize,
-    stamp: u64,
-    last_touch: Vec<u64>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lru;
 
 impl Lru {
-    /// Creates LRU state for `geom`.
-    pub fn new(geom: &CacheGeometry) -> Self {
-        Lru { assoc: geom.associativity(), stamp: 0, last_touch: vec![0; geom.num_lines()] }
-    }
-
-    #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.assoc + way
-    }
-
-    fn touch(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        let i = self.idx(set, way);
-        self.last_touch[i] = self.stamp;
-    }
-
-    /// Recency rank of `way` within `set`: 0 = MRU, `assoc-1` = LRU.
-    /// Used by monitors that need stack positions (UMON).
-    pub fn recency_rank(&self, set: usize, way: usize) -> usize {
-        let mine = self.last_touch[self.idx(set, way)];
-        (0..self.assoc).filter(|&w| w != way && self.last_touch[self.idx(set, w)] > mine).count()
+    /// Creates LRU state for `geom`. LRU keeps nothing per cache; the
+    /// geometry argument keeps every policy's constructor alike.
+    pub fn new(_geom: &CacheGeometry) -> Self {
+        Lru
     }
 }
 
 impl ReplacementPolicy for Lru {
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.touch(set, way);
+    #[inline]
+    fn on_hit(&mut self, _set: usize, way: usize, row: &mut [u8]) {
+        rank_touch(row, way);
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, _ctx: &FillCtx) {
-        self.touch(set, way);
+    #[inline]
+    fn on_fill(&mut self, _set: usize, way: usize, _ctx: &FillCtx, row: &mut [u8]) {
+        rank_touch(row, way);
     }
 
-    #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.assoc;
-        (0..self.assoc).min_by_key(|&w| self.last_touch[base + w]).expect("non-zero associativity")
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        let i = self.idx(set, way);
-        self.last_touch[i] = 0;
+    #[inline]
+    fn victim(&mut self, _set: usize, row: &mut [u8]) -> usize {
+        rank_oldest(row)
     }
 
     fn name(&self) -> &'static str {
@@ -121,8 +97,7 @@ mod tests {
             touch(&mut c, n);
         }
         // Fill order 0,1,2,3 -> way of line 3 is MRU (rank 0), way of 0 is rank 3.
-        assert_eq!(c.policy().recency_rank(0, 3), 0);
-        assert_eq!(c.policy().recency_rank(0, 0), 3);
+        assert_eq!(c.array().policy_row(0), &[3, 2, 1, 0]);
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! (immediate victim candidates); others insert at long.
 
 use crate::config::CacheGeometry;
+use crate::policy::rrip::{rrip_victim, RRPV_MAX};
 use crate::policy::{FillCtx, ReplacementPolicy};
 use nucache_common::Pc;
 
-const RRPV_BITS: u32 = 2;
-const RRPV_MAX: u8 = (1 << RRPV_BITS) - 1;
 const SHCT_MAX: u8 = 7; // 3-bit counters, as proposed
 
-/// SHiP-PC replacement policy.
+/// SHiP-PC replacement policy. Each way's RRPV is its byte of the set's
+/// policy row; the allocating signature and the reuse bit of each line
+/// stay in side columns here.
 ///
 /// # Examples
 ///
@@ -29,7 +30,6 @@ const SHCT_MAX: u8 = 7; // 3-bit counters, as proposed
 #[derive(Debug, Clone)]
 pub struct ShipPc {
     assoc: usize,
-    rrpv: Vec<u8>,
     /// Signature that allocated each line.
     line_sig: Vec<u16>,
     /// Whether each line has been re-referenced since its fill.
@@ -46,7 +46,6 @@ impl ShipPc {
     pub fn new(geom: &CacheGeometry) -> Self {
         ShipPc {
             assoc: geom.associativity(),
-            rrpv: vec![RRPV_MAX; geom.num_lines()],
             line_sig: vec![0; geom.num_lines()],
             reused: vec![false; geom.num_lines()],
             // Weakly "reuses" so new signatures are not written off
@@ -84,13 +83,14 @@ impl ShipPc {
 }
 
 impl ReplacementPolicy for ShipPc {
-    fn on_hit(&mut self, set: usize, way: usize) {
+    #[inline]
+    fn on_hit(&mut self, set: usize, way: usize, row: &mut [u8]) {
+        row[way] = 0;
         let f = self.frame(set, way);
-        self.rrpv[f] = 0;
         self.reused[f] = true;
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, ctx: &FillCtx) {
+    fn on_fill(&mut self, set: usize, way: usize, ctx: &FillCtx, row: &mut [u8]) {
         let f = self.frame(set, way);
         // The departing line (if it carried state) trains the table when
         // the cache reuses a frame directly; eviction-driven departures
@@ -98,27 +98,19 @@ impl ReplacementPolicy for ShipPc {
         let sig = Self::signature(ctx.pc);
         self.line_sig[f] = sig;
         self.reused[f] = false;
-        self.rrpv[f] = if self.shct[sig as usize] == 0 { RRPV_MAX } else { RRPV_MAX - 1 };
+        row[way] = if self.shct[sig as usize] == 0 { RRPV_MAX } else { RRPV_MAX - 1 };
     }
 
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.assoc;
-        let way = loop {
-            if let Some(w) = (0..self.assoc).find(|&w| self.rrpv[base + w] == RRPV_MAX) {
-                break w;
-            }
-            for w in 0..self.assoc {
-                self.rrpv[base + w] += 1;
-            }
-        };
-        self.train_on_departure(base + way);
+    fn victim(&mut self, set: usize, row: &mut [u8]) -> usize {
+        let way = rrip_victim(row);
+        self.train_on_departure(self.frame(set, way));
         way
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
+    fn on_invalidate(&mut self, set: usize, way: usize, row: &mut [u8]) {
         let f = self.frame(set, way);
         self.train_on_departure(f);
-        self.rrpv[f] = RRPV_MAX;
+        row[way] = RRPV_MAX;
         self.reused[f] = false;
     }
 

@@ -10,6 +10,7 @@
 use crate::config::CacheGeometry;
 use crate::policy::dip::BIP_EPSILON;
 use crate::policy::{FillCtx, ReplacementPolicy};
+use nucache_common::tags::{rank_oldest, rank_to_back, rank_touch};
 use nucache_common::{CoreId, DetRng};
 
 /// Per-set role in TADIP's dueling layout.
@@ -25,15 +26,12 @@ enum TadipRole {
 
 /// TADIP-F insertion policy for a shared cache.
 ///
-/// Recency/eviction is LRU; per-core insertion is MRU or bimodal, chosen
+/// Recency/eviction is LRU over the set's rank row; per-core insertion
+/// is MRU ([`rank_touch`]) or bimodal (mostly [`rank_to_back`]), chosen
 /// by per-core saturating PSEL counters updated on leader-set misses.
 #[derive(Debug)]
 pub struct TadipF {
-    assoc: usize,
     num_cores: usize,
-    stamp: u64,
-    old_stamp: u64,
-    last_touch: Vec<u64>,
     block: usize,
     psel: Vec<u32>,
     psel_max: u32,
@@ -60,11 +58,7 @@ impl TadipF {
         }
         let psel_max = (1u32 << 10) - 1;
         TadipF {
-            assoc: geom.associativity(),
             num_cores,
-            stamp: u64::MAX / 2,
-            old_stamp: u64::MAX / 2,
-            last_touch: vec![0; geom.num_lines()],
             block,
             psel: vec![psel_max / 2; num_cores],
             psel_max,
@@ -116,20 +110,18 @@ impl TadipF {
 }
 
 impl ReplacementPolicy for TadipF {
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        self.last_touch[set * self.assoc + way] = self.stamp;
+    #[inline]
+    fn on_hit(&mut self, _set: usize, way: usize, row: &mut [u8]) {
+        rank_touch(row, way);
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, ctx: &FillCtx) {
-        let stamp = if self.inserts_mru(set, ctx.core) {
-            self.stamp += 1;
-            self.stamp
+    #[inline]
+    fn on_fill(&mut self, set: usize, way: usize, ctx: &FillCtx, row: &mut [u8]) {
+        if self.inserts_mru(set, ctx.core) {
+            rank_touch(row, way);
         } else {
-            self.old_stamp -= 1;
-            self.old_stamp
-        };
-        self.last_touch[set * self.assoc + way] = stamp;
+            rank_to_back(row, way);
+        }
     }
 
     fn on_miss(&mut self, set: usize, ctx: &FillCtx) {
@@ -144,14 +136,9 @@ impl ReplacementPolicy for TadipF {
         }
     }
 
-    #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.assoc;
-        (0..self.assoc).min_by_key(|&w| self.last_touch[base + w]).expect("non-zero associativity")
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.last_touch[set * self.assoc + way] = 0;
+    #[inline]
+    fn victim(&mut self, _set: usize, row: &mut [u8]) -> usize {
+        rank_oldest(row)
     }
 
     fn name(&self) -> &'static str {

@@ -11,11 +11,19 @@
 //! `sample_shift`-th set is tracked, and counts are scaled up by the
 //! sampling factor when read.
 
+use crate::array::SetArray;
 use crate::config::CacheGeometry;
-use nucache_common::LineAddr;
+use crate::meta::LineMeta;
+use nucache_common::tags::{rank_oldest, rank_touch};
+use nucache_common::{CoreId, LineAddr, Pc};
 
 /// A set-sampled, fully-LRU shadow tag directory with per-rank hit
 /// counters (UMON-DSS).
+///
+/// The directory is a [`SetArray`] with one set per sampled set, whose
+/// policy rows hold the LRU ranks. A shadow never invalidates, so a
+/// valid way's rank is the number of valid ways touched after it: a
+/// hit's stack position is its rank byte.
 ///
 /// # Examples
 ///
@@ -32,13 +40,11 @@ use nucache_common::LineAddr;
 /// ```
 #[derive(Debug, Clone)]
 pub struct UtilityMonitor {
-    assoc: usize,
     set_bits: u32,
     sample_shift: u32,
-    // tags[sampled_set * assoc + way]; stamp for LRU rank.
-    tags: Vec<Option<u64>>,
-    stamps: Vec<u64>,
-    stamp: u64,
+    /// The shadow directory, indexed by sampled set; tags are the
+    /// monitored cache's.
+    shadow: SetArray,
     hits_at_rank: Vec<u64>,
     misses: u64,
     accesses: u64,
@@ -55,13 +61,12 @@ impl UtilityMonitor {
         let sampled_sets = geom.num_sets() >> sample_shift;
         assert!(sampled_sets > 0, "sampling eliminates every set");
         let assoc = geom.associativity();
+        let block = geom.block_bytes();
+        let size = sampled_sets as u64 * assoc as u64 * u64::from(block);
         UtilityMonitor {
-            assoc,
             set_bits: geom.set_bits(),
             sample_shift,
-            tags: vec![None; sampled_sets * assoc],
-            stamps: vec![0; sampled_sets * assoc],
-            stamp: 0,
+            shadow: SetArray::new(CacheGeometry::new(size, assoc, block)),
             hits_at_rank: vec![0; assoc],
             misses: 0,
             accesses: 0,
@@ -73,6 +78,7 @@ impl UtilityMonitor {
         1 << self.sample_shift
     }
 
+    #[inline]
     fn sampled_index(&self, line: LineAddr) -> Option<usize> {
         let set = line.set_index(self.set_bits);
         if set & ((1usize << self.sample_shift) - 1) != 0 {
@@ -83,34 +89,34 @@ impl UtilityMonitor {
 
     /// Feeds one access from the owning core.
     ///
-    /// Returns the LRU rank the access hit at (`None` on a shadow miss).
+    /// Returns the LRU rank the access hit at (`None` on a shadow miss
+    /// or an unsampled set). The sampled-set test inlines into the
+    /// caller; only the sampled accesses call into the directory.
+    #[inline]
     pub fn observe(&mut self, line: LineAddr) -> Option<usize> {
         let sset = self.sampled_index(line)?;
+        self.observe_sampled(sset, line)
+    }
+
+    #[inline(never)]
+    fn observe_sampled(&mut self, sset: usize, line: LineAddr) -> Option<usize> {
         self.accesses += 1;
         let tag = line.tag(self.set_bits);
-        let base = sset * self.assoc;
-        let frames = base..base + self.assoc;
-        self.stamp += 1;
-        if let Some(way) = frames.clone().position_in(&self.tags, tag) {
-            // Rank before promotion: how many ways are younger.
-            let mine = self.stamps[base + way];
-            let rank = (0..self.assoc)
-                .filter(|&w| {
-                    w != way && self.stamps[base + w] > mine && self.tags[base + w].is_some()
-                })
-                .count();
+        if let Some(way) = self.shadow.find(sset, tag) {
+            let ranks = self.shadow.policy_row_mut(sset);
+            let rank = usize::from(ranks[way]);
+            rank_touch(ranks, way);
             self.hits_at_rank[rank] += 1;
-            self.stamps[base + way] = self.stamp;
             return Some(rank);
         }
         self.misses += 1;
-        // Fill: pick an invalid frame, else the LRU one.
-        #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
-        let way = (0..self.assoc).find(|&w| self.tags[base + w].is_none()).unwrap_or_else(|| {
-            (0..self.assoc).min_by_key(|&w| self.stamps[base + w]).expect("assoc > 0")
-        });
-        self.tags[base + way] = Some(tag);
-        self.stamps[base + way] = self.stamp;
+        // Fill: the first invalid frame, else the LRU one.
+        let way = match self.shadow.invalid_way(sset) {
+            Some(w) => w,
+            None => rank_oldest(self.shadow.policy_row(sset)),
+        };
+        self.shadow.fill(sset, way, LineMeta::new(tag, CoreId::new(0), Pc::new(0), false));
+        rank_touch(self.shadow.policy_row_mut(sset), way);
         None
     }
 
@@ -133,7 +139,7 @@ impl UtilityMonitor {
     /// would get with `w` ways. `curve[0] = 0`; the curve is
     /// non-decreasing.
     pub fn utility_curve(&self) -> Vec<u64> {
-        let mut curve = Vec::with_capacity(self.assoc + 1);
+        let mut curve = Vec::with_capacity(self.hits_at_rank.len() + 1);
         curve.push(0);
         let mut acc = 0u64;
         for &h in &self.hits_at_rank {
@@ -155,19 +161,6 @@ impl UtilityMonitor {
         self.hits_at_rank.iter_mut().for_each(|h| *h = 0);
         self.misses = 0;
         self.accesses = 0;
-    }
-}
-
-/// Extension used by [`UtilityMonitor::observe`] to keep the tag-scan
-/// readable.
-trait PositionIn {
-    fn position_in(self, tags: &[Option<u64>], tag: u64) -> Option<usize>;
-}
-
-impl PositionIn for std::ops::Range<usize> {
-    fn position_in(self, tags: &[Option<u64>], tag: u64) -> Option<usize> {
-        let start = self.start;
-        self.clone().find(|&i| tags[i] == Some(tag)).map(|i| i - start)
     }
 }
 

@@ -1,5 +1,6 @@
-//! Property test pinning the struct-of-arrays `SetArray` to the
-//! semantics of the original frame-per-`Option` layout.
+//! Property test pinning the packed `SetArray` (tag rows plus per-set
+//! metadata records) to the semantics of the original
+//! frame-per-`Option` layout.
 //!
 //! A straightforward `Vec<Option<LineMeta>>` model executes the same
 //! random operation sequence as the real array; every observable —
@@ -13,7 +14,7 @@ use nucache_cache::{CacheGeometry, SetArray};
 use nucache_common::{CoreId, LineAddr, Pc};
 use proptest::prelude::*;
 
-/// Reference implementation: the pre-SoA frame array.
+/// Reference implementation: the original frame array.
 struct ModelArray {
     geom: CacheGeometry,
     frames: Vec<Option<LineMeta>>,

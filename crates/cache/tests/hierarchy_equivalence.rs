@@ -1,6 +1,7 @@
 //! `PrivateHierarchy` stores each private level as recency-ordered tag
 //! rows. This test drives it beside a reference hierarchy built from two
-//! stamp-LRU `BasicCache`s, composed the way the hierarchy is specified
+//! `BasicCache<Lru>`s, which keep a rank row per set in their
+//! `SetArray`, composed the way the hierarchy is specified
 //! (fill both levels on the way in, a dirty L1 victim re-touches its L2
 //! copy as a write or is dropped, a dirty L2 victim is the write-back),
 //! and requires the same `PrivateOutcome`, write-back line included, at

@@ -13,6 +13,7 @@ use crate::lookahead::lookahead_partition;
 use nucache_cache::meta::{AccessOutcome, LineMeta};
 use nucache_cache::shadow::UtilityMonitor;
 use nucache_cache::{AuditStats, CacheGeometry, SetArray, SharedLlc};
+use nucache_common::tags::{rank_insert, rank_oldest, rank_promote};
 use nucache_common::{AccessKind, CacheStats, CoreId, DetRng, LineAddr, Pc};
 
 /// Single-step promotion probability on a hit (value from the original
@@ -23,6 +24,12 @@ pub const PROMOTION_PROB: f64 = 0.75;
 pub const STREAM_UTILITY_THRESHOLD: f64 = 0.02;
 
 /// A PIPP-managed shared LLC.
+///
+/// Each set's recency stack is its policy row: a way's rank is its stack
+/// position, 0 the MRU-most. The valid ways hold ranks `0..occupancy`
+/// and the invalid ways the ranks behind them, an order every insert
+/// keeps, so the LRU-most line of a full set is the way at the last
+/// rank.
 ///
 /// # Examples
 ///
@@ -36,8 +43,6 @@ pub const STREAM_UTILITY_THRESHOLD: f64 = 0.02;
 #[derive(Debug)]
 pub struct PippLlc {
     array: SetArray,
-    /// Per-set recency stacks, flattened into one whole-LLC allocation.
-    stacks: RecencyStacks,
     monitors: Vec<UtilityMonitor>,
     alloc: Vec<usize>,
     streaming: Vec<bool>,
@@ -68,7 +73,6 @@ impl PippLlc {
         }
         PippLlc {
             array: SetArray::new(geom),
-            stacks: RecencyStacks::new(geom.num_sets(), geom.associativity()),
             monitors: (0..num_cores)
                 .map(|_| UtilityMonitor::new(&geom, 5.min(geom.set_bits())))
                 .collect(),
@@ -129,80 +133,6 @@ impl PippLlc {
     }
 }
 
-/// Per-set recency stacks flattened into one whole-LLC allocation:
-/// `ways[set*assoc .. set*assoc + len[set]]` lists ways MRU-first, only
-/// valid ways appear. One contiguous buffer instead of a `Vec` per set
-/// keeps the hot promote/insert/pop paths on a single allocation.
-#[derive(Debug)]
-struct RecencyStacks {
-    ways: Vec<u8>,
-    len: Vec<u8>,
-    assoc: usize,
-}
-
-impl RecencyStacks {
-    fn new(sets: usize, assoc: usize) -> Self {
-        assert!(assoc <= u8::MAX as usize, "associativity exceeds stack element range");
-        RecencyStacks { ways: vec![0; sets * assoc], len: vec![0; sets], assoc }
-    }
-
-    /// The occupied portion of `set`'s stack, MRU-first (test inspection
-    /// only — the hot paths index the flat arrays directly).
-    #[cfg(test)]
-    fn set(&self, set: usize) -> &[u8] {
-        let base = set * self.assoc;
-        &self.ways[base..base + self.len[set] as usize]
-    }
-
-    #[inline]
-    fn len_of(&self, set: usize) -> usize {
-        self.len[set] as usize
-    }
-
-    /// Moves `way` one position toward MRU (no-op if already MRU-most).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is not resident in the stack.
-    #[inline]
-    fn promote_one(&mut self, set: usize, way: usize) {
-        let base = set * self.assoc;
-        let stack = &mut self.ways[base..base + self.len[set] as usize];
-        #[expect(clippy::expect_used, reason = "documented precondition: the way is resident")]
-        let pos = stack.iter().position(|&w| w as usize == way).expect("hit way in stack");
-        if pos > 0 {
-            stack.swap(pos, pos - 1);
-        }
-    }
-
-    /// Removes and returns the LRU-most way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stack is empty.
-    #[inline]
-    #[expect(clippy::cast_possible_truncation, reason = "stack length <= assoc <= u8::MAX")]
-    fn pop_lru(&mut self, set: usize) -> u8 {
-        let len = self.len[set] as usize;
-        assert!(len > 0, "full set has full stack");
-        self.len[set] = (len - 1) as u8;
-        self.ways[set * self.assoc + len - 1]
-    }
-
-    /// Inserts `way` at `depth` positions above the LRU end (0 = LRU-most).
-    #[inline]
-    #[expect(clippy::cast_possible_truncation, reason = "stack length <= assoc <= u8::MAX")]
-    fn insert_above_lru(&mut self, set: usize, way: u8, depth: usize) {
-        let base = set * self.assoc;
-        let len = self.len[set] as usize;
-        debug_assert!(depth <= len && len < self.assoc);
-        let at = base + len - depth;
-        self.ways.copy_within(at..base + len, at + 1);
-        self.ways[at] = way;
-        self.len[set] = (len + 1) as u8;
-    }
-}
-
 impl SharedLlc for PippLlc {
     fn access(&mut self, core: CoreId, pc: Pc, line: LineAddr, kind: AccessKind) -> AccessOutcome {
         let geom = *self.array.geometry();
@@ -218,28 +148,29 @@ impl SharedLlc for PippLlc {
             }
             // Single-step probabilistic promotion.
             if self.rng.chance(PROMOTION_PROB) {
-                self.stacks.promote_one(set, way);
+                rank_promote(self.array.policy_row_mut(set), way);
             }
             return AccessOutcome::Hit;
         }
         self.stats.record_miss();
         self.core_stats[core.index()].record_miss();
-        let (way, evicted) = match self.array.invalid_way(set) {
-            Some(w) => (w, self.array.fill(set, w, LineMeta::new(tag, core, pc, kind.is_write()))),
-            None => {
-                let victim_way = self.stacks.pop_lru(set) as usize;
-                let ev =
-                    self.array.fill(set, victim_way, LineMeta::new(tag, core, pc, kind.is_write()));
-                (victim_way, ev)
-            }
+        // The lines that stay in the stack: every valid one, less the
+        // victim of a full set.
+        let assoc = geom.associativity();
+        let stay = (self.array.valid_mask(set).count_ones() as usize).min(assoc - 1);
+        let way = match self.array.invalid_way(set) {
+            Some(w) => w,
+            None => rank_oldest(self.array.policy_row(set)),
         };
+        let evicted = self.array.fill(set, way, LineMeta::new(tag, core, pc, kind.is_write()));
         if let Some(ev) = evicted {
             self.stats.record_eviction(ev.dirty);
         }
-        // Insert at the core's depth from the LRU end.
-        let depth = self.insert_depth(core).min(self.stacks.len_of(set));
-        #[expect(clippy::cast_possible_truncation, reason = "way < assoc <= u8::MAX")]
-        self.stacks.insert_above_lru(set, way as u8, depth);
+        // Insert at the core's depth from the LRU end of the staying
+        // lines, which is `assoc - 1 - stay` ranks further from the back
+        // of the row: the invalid ways sit behind them.
+        let depth = self.insert_depth(core).min(stay);
+        rank_insert(self.array.policy_row_mut(set), way, depth + (assoc - 1 - stay));
         AccessOutcome::Miss { evicted }
     }
 
@@ -291,17 +222,33 @@ mod tests {
         llc.access(CoreId::new(core), Pc::new(core as u64), LineAddr::new(line), AccessKind::Read)
     }
 
+    /// The stack order the ranks encode: the valid ways hold ranks
+    /// `0..occupancy`, each once, and the invalid ways the ranks behind.
+    fn assert_stack_consistent(llc: &PippLlc, set: usize) {
+        let ranks = llc.array.policy_row(set);
+        let valid = llc.array.valid_mask(set);
+        let occupancy = llc.array.occupancy(set);
+        let mut seen = vec![false; ranks.len()];
+        for (w, &r) in ranks.iter().enumerate() {
+            let r = usize::from(r);
+            assert!(!seen[r], "set {set}: rank {r} held twice");
+            seen[r] = true;
+            assert_eq!(valid >> w & 1 == 1, r < occupancy, "set {set}: way {w} at rank {r}");
+        }
+    }
+
     #[test]
     fn stack_tracks_residency() {
         let mut llc = PippLlc::new(geom(), 2, 1_000_000, 1);
-        for n in 0..64u64 {
+        for n in 0..4u64 {
             read(&mut llc, 0, n * 64); // all set 0
+            assert_stack_consistent(&llc, 0);
         }
-        assert_eq!(llc.stacks.len_of(0), 8);
-        let mut sorted = llc.stacks.set(0).to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 8, "stack must hold each way exactly once");
+        for n in 4..64u64 {
+            read(&mut llc, 0, n * 64);
+        }
+        assert_eq!(llc.array.occupancy(0), 8);
+        assert_stack_consistent(&llc, 0);
     }
 
     #[test]
@@ -361,11 +308,7 @@ mod tests {
         }
         assert!(llc.array.total_occupancy() <= 64 * 8);
         for s in 0..64 {
-            assert_eq!(
-                llc.stacks.len_of(s),
-                llc.array.occupancy(s),
-                "stack/array disagree in set {s}"
-            );
+            assert_stack_consistent(&llc, s);
         }
     }
 

@@ -13,6 +13,7 @@ use crate::lookahead::lookahead_partition;
 use nucache_cache::meta::{AccessOutcome, LineMeta};
 use nucache_cache::shadow::UtilityMonitor;
 use nucache_cache::{AuditStats, CacheGeometry, SetArray, SharedLlc};
+use nucache_common::tags::{rank_oldest, rank_oldest_in, rank_touch};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 
 /// Default set-sampling shift for the UMONs (1 set in 32).
@@ -31,10 +32,9 @@ pub const DEFAULT_UMON_SHIFT: u32 = 5;
 /// ```
 #[derive(Debug)]
 pub struct UcpLlc {
+    /// The tag array; each set's policy row holds its LRU ranks across
+    /// the whole set (the quotas decide which lines are candidates).
     array: SetArray,
-    // Recency stamps, LRU across the whole set (allocation decides victims).
-    stamp: u64,
-    last_touch: Vec<u64>,
     monitors: Vec<UtilityMonitor>,
     alloc: Vec<usize>,
     epoch_len: u64,
@@ -75,8 +75,6 @@ impl UcpLlc {
         }
         UcpLlc {
             array: SetArray::new(geom),
-            stamp: 0,
-            last_touch: vec![0; geom.num_lines()],
             monitors: (0..num_cores).map(|_| UtilityMonitor::new(&geom, shift)).collect(),
             alloc,
             epoch_len,
@@ -101,25 +99,18 @@ impl UcpLlc {
         *self.array.geometry()
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
-        self.stamp += 1;
-        let assoc = self.geometry_copy().associativity();
-        self.last_touch[set * assoc + way] = self.stamp;
-    }
-
     /// Victim selection under quotas: evict the LRU line of a core that
     /// exceeds its quota (preferring the most over-quota situation via
     /// plain LRU among over-quota lines); if nobody is over quota (can
     /// happen transiently right after repartitioning), fall back to the
     /// requester's own LRU line, then to global LRU.
-    #[expect(clippy::expect_used, reason = "the associativity is non-zero")]
+    ///
+    /// Called on a full set only. The LRU line among candidates is the
+    /// candidate with the highest rank in the set's policy row.
     fn victim(&self, set: usize, requester: CoreId) -> usize {
-        let geom = self.geometry_copy();
-        let assoc = geom.associativity();
-        let base = set * assoc;
-        let cores = self.array.core_column(set);
+        let cores = self.array.core_row(set);
+        let ranks = self.array.policy_row(set);
         let valid = self.array.valid_mask(set);
-        let stamps = &self.last_touch[base..base + assoc];
         // One pass over the valid mask gathers per-core occupancy; the
         // associativity cap (<= 64, and cores <= ways) bounds the counter
         // array so nothing is heap-allocated on the miss path.
@@ -128,37 +119,30 @@ impl UcpLlc {
         while m != 0 {
             let w = m.trailing_zeros() as usize;
             m &= m - 1;
-            occupancy[cores[w].index()] += 1;
+            occupancy[usize::from(cores[w])] += 1;
         }
-        // First-minimum scan over valid ways matching `pred` — same tie
-        // break as `filter(..).min_by_key(..)` over ascending way order.
-        let min_where = |pred: &dyn Fn(usize) -> bool| -> Option<usize> {
-            let mut best: Option<usize> = None;
-            let mut m = valid;
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if pred(cores[w].index()) && best.is_none_or(|b| stamps[w] < stamps[b]) {
-                    best = Some(w);
-                }
-            }
-            best
-        };
+        // A second pass splits the valid ways into the requester's and
+        // the over-quota cores'.
         let req = requester.index();
+        let (mut own, mut over) = (0u64, 0u64);
+        let mut m = valid;
+        while m != 0 {
+            let w = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let c = usize::from(cores[w]);
+            own |= u64::from(c == req) << w;
+            over |= u64::from(usize::from(occupancy[c]) > self.alloc[c]) << w;
+        }
+        let candidate_own = rank_oldest_in(ranks, own);
         // If the requester is at/over its quota, recycle its own LRU line.
-        let candidate_own = min_where(&|c| c == req);
         if usize::from(occupancy[req]) >= self.alloc[req] {
             if let Some(w) = candidate_own {
                 return w;
             }
         }
         // Requester deserves growth: take the LRU line among over-quota
-        // cores' lines.
-        if let Some(w) = min_where(&|c| usize::from(occupancy[c]) > self.alloc[c]) {
-            return w;
-        }
-        // Transient: fall back to own LRU, then global LRU.
-        candidate_own.unwrap_or_else(|| (0..assoc).min_by_key(|&w| stamps[w]).expect("assoc > 0"))
+        // cores' lines. Transient: fall back to own LRU, then global LRU.
+        rank_oldest_in(ranks, over).or(candidate_own).unwrap_or_else(|| rank_oldest(ranks))
     }
 
     fn epoch_tick(&mut self) {
@@ -187,7 +171,7 @@ impl SharedLlc for UcpLlc {
         if let Some(way) = self.array.find(set, tag) {
             self.stats.record_hit();
             self.core_stats[core.index()].record_hit();
-            self.touch(set, way);
+            rank_touch(self.array.policy_row_mut(set), way);
             if kind.is_write() {
                 self.array.mark_dirty(set, way);
             }
@@ -203,7 +187,7 @@ impl SharedLlc for UcpLlc {
         if let Some(ev) = evicted {
             self.stats.record_eviction(ev.dirty);
         }
-        self.touch(set, way);
+        rank_touch(self.array.policy_row_mut(set), way);
         AccessOutcome::Miss { evicted }
     }
 
