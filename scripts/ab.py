@@ -15,12 +15,15 @@ both sides, base first on even pairs and change first on odd ones.
 For each end-to-end metric in BENCHMARK.json the script prints each
 side's median and quartiles, the change/base ratio of the medians, the
 pairs the change won (the direction comes from the metric's `better`;
-ties count for neither side), and whether the change's median is worse
-than the base's by more than the metric's bound. It then prints, per
-seed, whether `hit_rate` is equal on both sides, and each run's `failed`
-count. The exit code is non-zero when any run exits non-zero, reports
-`correct: false` or counts a failed operation. The script changes
-neither BENCHMARK.json nor perfbench/.
+ties count for neither side), and the metric's verdict under the rules
+a claimed change is checked against (see `verdict`: gain, unresolved,
+worse than bound, or ok). It then prints, per seed, whether `hit_rate`
+is equal on both sides, and each run's `failed` count. The exit code is
+non-zero when any run exits non-zero, reports `correct: false` or
+counts a failed operation. The script changes neither BENCHMARK.json
+nor perfbench/.
+
+The rules have doctests: `python3 -m doctest scripts/ab.py`.
 """
 
 import argparse
@@ -66,11 +69,57 @@ def quartiles(xs):
     return q1, q2, q3
 
 
+def verdict(base, change, higher, bound):
+    """One metric's verdict over paired runs.
+
+    `base` and `change` hold the metric's values pair by pair, `higher`
+    says whether a larger value is better, and `bound` is the metric's
+    BENCHMARK.json bound, a fraction of the base median. The rules, in
+    the order they are tried:
+
+    - "gain": the change wins at least nine tenths of the pairs (ties
+      count for neither side), and its median beats the base median by
+      more than the base's interquartile range;
+    - "unresolved": the base's interquartile range exceeds the bound,
+      and not every change run beats every base run, so the runs spread
+      too widely to tell;
+    - "worse than bound": the change median is worse than the base
+      median by more than the bound;
+    - "ok": none of these.
+
+    >>> base = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    >>> verdict(base, [110] * 10, True, 0.25)
+    'gain'
+    >>> verdict(base, [110] * 8 + [90] * 2, True, 0.25)
+    'ok'
+    >>> verdict(base, [101] * 10, True, 0.25)
+    'ok'
+    >>> verdict([1.0, 2.0, 1.0, 2.0], [1.5] * 4, False, 0.25)
+    'unresolved'
+    >>> verdict([1.0, 2.0, 1.0, 2.0], [0.2] * 4, False, 0.25)
+    'gain'
+    >>> verdict([10, 10, 10, 10], [14, 14, 14, 14], False, 0.25)
+    'worse than bound'
+    """
+    sign = 1 if higher else -1
+    won = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    bq, cq = quartiles(base), quartiles(change)
+    spread = bq[2] - bq[0]
+    if won >= 0.9 * len(base) and sign * (cq[1] - bq[1]) > spread:
+        return "gain"
+    separated = min(sign * c for c in change) > max(sign * b for b in base)
+    if spread > bound * abs(bq[1]) and not separated:
+        return "unresolved"
+    if sign * (bq[1] - cq[1]) > bound * abs(bq[1]):
+        return "worse than bound"
+    return "ok"
+
+
 def report(spec, runs):
     """Prints the comparison; returns True when every run passed its checks."""
     pairs = len(runs)
     print(f"\n{pairs} pairs; median [q1, q3] per side; ratio = change median / base median")
-    print(f"{'metric':<16} {'base':>34} {'change':>34} {'ratio':>7} {'won':>6}  bound")
+    print(f"{'metric':<16} {'base':>34} {'change':>34} {'ratio':>7} {'won':>6}  bound verdict")
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         base = [r["base"]["metrics"][name]["value"] for r in runs]
@@ -78,11 +127,9 @@ def report(spec, runs):
         bq, cq = quartiles(base), quartiles(change)
         won = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
-        worse = (1 - ratio) if higher else (ratio - 1)
-        verdict = "worse than bound" if worse > m["bound"] else "ok"
         print(f"{name:<16} {bq[1]:>12.6g} [{bq[0]:.6g}, {bq[2]:.6g}] "
               f"{cq[1]:>12.6g} [{cq[0]:.6g}, {cq[2]:.6g}] {ratio:>7.3f} {won:>3}/{pairs}  "
-              f"{m['bound']} {verdict}")
+              f"{m['bound']} {verdict(base, change, higher, m['bound'])}")
     print("\nper seed: hit_rate base / change, failed base / change")
     ok = True
     for r in runs:
