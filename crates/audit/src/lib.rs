@@ -8,9 +8,9 @@
 //! compiling each feature configuration. See `DESIGN.md` §9.1.
 //!
 //! What remains here needs the whole workspace at once: a lexical
-//! [symbol index](symbols), name-based [reference resolution](resolve),
-//! a cross-crate [use graph](graph) and three [semantic lints](semantic)
-//! (`counter-dataflow`, `doc-constant-drift`, `dead-cross-crate-pub`).
+//! [symbol index](symbols), name-based [reference resolution](resolve)
+//! and three [semantic lints](semantic) (`counter-dataflow`,
+//! `doc-constant-drift`, `dead-cross-crate-pub`).
 //! A finding can be suppressed at the site with a justification comment
 //! on the same line or the line above:
 //!
@@ -43,7 +43,6 @@ pub mod atomics;
 pub mod cfg;
 pub mod diag;
 pub mod effects;
-pub mod graph;
 pub mod hotpath;
 pub mod lexer;
 pub mod locks;
@@ -57,7 +56,6 @@ pub use atomics::{run_atomic_lints, ATOMIC_LINTS};
 pub use cfg::{build_cfg, fn_spans, Cfg, FnSpan};
 pub use diag::{Diagnostic, Severity};
 pub use effects::{EffectModel, EffectSet, FnInfo};
-pub use graph::UseGraph;
 pub use hotpath::{run_effect_lints, Justifications, EFFECT_LINTS, STUB_REASON};
 pub use lexer::ScannedFile;
 pub use locks::{run_lock_lints, CONCURRENCY_LEDGER, LOCK_LINTS};

@@ -5,7 +5,6 @@
 //! cargo run -p nucache-audit -- lint --format json     # machine-readable, for CI
 //! cargo run -p nucache-audit -- lint --lint counter-dataflow
 //! cargo run -p nucache-audit -- lint --update-baseline # rewrite pub_baseline.txt
-//! cargo run -p nucache-audit -- graph --format json    # cross-crate use graph
 //! cargo run -p nucache-audit -- effects                # hot-path contract gates
 //! cargo run -p nucache-audit -- effects --list         # per-function effect sets
 //! cargo run -p nucache-audit -- effects --update-justify # rewrite hotpath.txt stubs
@@ -23,7 +22,7 @@ use nucache_audit::hotpath::{run_effect_lints, Justifications, EFFECT_LINTS};
 use nucache_audit::locks::{run_lock_lints, CONCURRENCY_HEADER, LOCK_LINTS};
 use nucache_audit::semantic::dead_pub::{self, Baseline};
 use nucache_audit::semantic::{run_semantic_lints, SEMANTIC_LINTS};
-use nucache_audit::{EffectModel, UseGraph, Workspace};
+use nucache_audit::{EffectModel, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -38,11 +37,10 @@ const CONCURRENCY_REL: &str = nucache_audit::CONCURRENCY_LEDGER;
 
 fn usage() {
     eprintln!(
-        "usage: nucache-audit [lint|graph|effects|locks|atomics] [options]\n\
+        "usage: nucache-audit [lint|effects|locks|atomics] [options]\n\
          \n\
          subcommands:\n\
          \x20 lint     run the workspace lints (the default)\n\
-         \x20 graph    print the cross-crate use graph\n\
          \x20 effects  run the flow-aware hot-path contract gates\n\
          \x20 locks    run the lock-discipline gates (order cycles, double-lock, guard escapes)\n\
          \x20 atomics  run the atomic-ordering gate\n\
@@ -101,7 +99,7 @@ fn parse_args() -> Result<Option<Cli>, String> {
     };
     let mut args = std::env::args().skip(1).peekable();
     if let Some(first) = args.peek() {
-        if ["lint", "graph", "effects", "locks", "atomics"].iter().any(|c| c == first) {
+        if ["lint", "effects", "locks", "atomics"].iter().any(|c| c == first) {
             cli.command = args.next().unwrap_or_default();
         }
     }
@@ -300,18 +298,6 @@ fn run_concurrency(cli: &Cli) -> Result<ExitCode, String> {
     Ok(if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
-/// `graph` subcommand body.
-fn run_graph(cli: &Cli) -> Result<ExitCode, String> {
-    let ws = Workspace::load(&cli.root).map_err(|e| format!("scanning workspace: {e}"))?;
-    let graph = UseGraph::build(&ws);
-    if cli.format == "json" {
-        print!("{}", graph.render_json());
-    } else {
-        print!("{}", graph.render_text());
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let cli = match parse_args() {
         Ok(Some(cli)) => cli,
@@ -323,7 +309,6 @@ fn main() -> ExitCode {
         }
     };
     let result = match cli.command.as_str() {
-        "graph" => run_graph(&cli),
         "effects" => run_effects(&cli),
         "locks" | "atomics" => run_concurrency(&cli),
         _ => run_lint(&cli),

@@ -1,4 +1,5 @@
-//! Workspace-level semantic lints over the symbol index and use graph.
+//! Workspace-level semantic lints over the symbol index and reference
+//! resolution.
 //!
 //! These three lints need the whole workspace at once, and no stock
 //! rustc or clippy lint covers them:

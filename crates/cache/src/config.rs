@@ -22,7 +22,7 @@ pub const DEFAULT_BLOCK_BYTES: u32 = 64;
 /// assert_eq!(llc.num_sets(), 4096);
 /// assert_eq!(llc.num_lines(), 65536);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheGeometry {
     size_bytes: u64,
     associativity: usize,

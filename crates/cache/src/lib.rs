@@ -46,7 +46,6 @@ pub mod meta;
 pub mod opt;
 pub mod policy;
 pub mod shadow;
-pub mod stackdist;
 
 pub use array::SetArray;
 pub use audit::{AuditStats, ReferenceArray};

@@ -1,11 +1,11 @@
 //! Deterministic fault injection for pipeline robustness testing.
 //!
 //! The experiment pipeline must degrade predictably under partial
-//! failure: one panicking simulation job, one unwritable telemetry
-//! stream or one malformed trace record cannot be allowed to discard a
-//! whole batch of completed results. Those degradation paths are only
-//! trustworthy if they are exercised, so this module defines a seeded
-//! [`FaultPlan`] that injects failures at well-known sites:
+//! failure: one panicking simulation job or one unwritable telemetry
+//! stream cannot be allowed to discard a whole batch of completed
+//! results. Those degradation paths are only trustworthy if they are
+//! exercised, so this module defines a seeded [`FaultPlan`] that
+//! injects failures at well-known sites:
 //!
 //! * [`FaultSite::WorkerPanic`] — a simulation job panics in its worker
 //!   thread (exercises panic isolation and per-job retry in the runner);
@@ -13,17 +13,17 @@
 //!   fails (exercises the degrade-to-Null-sink path);
 //! * [`FaultSite::TelemetryWrite`] — writing an event stream fails
 //!   mid-run (exercises deferred-error surfacing and manifest notes);
-//! * [`FaultSite::TraceRecord`] — a trace file yields a malformed record
-//!   (exercises error propagation in trace replay).
+//! * [`FaultSite::ServeBatch`] — a load-generator request batch panics
+//!   while holding a shard lock (exercises poisoned-shard recovery).
 //!
 //! Decisions are a pure function of `(plan seed, site, index)` — the
 //! same plan always fails the same jobs — so a faulted run is exactly as
 //! reproducible as a clean one, and retrying an injected failure fails
 //! again (injection models a deterministic bug, not a transient blip).
 //!
-//! A plan can be installed process-wide ([`set_fault_plan`], the
-//! `--inject-faults SEED` flag) or passed explicitly; with no plan
-//! active every injection site compiles down to a `None` check.
+//! A plan is passed explicitly to whatever injects it (the simulation
+//! runner, the load generator), from their `--inject-faults SEED`
+//! flags; with no plan every injection site is a `None` check.
 //!
 //! # Examples
 //!
@@ -40,7 +40,6 @@
 //! ```
 
 use crate::rng::DetRng;
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A pipeline location where a [`FaultPlan`] can inject a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +50,6 @@ pub enum FaultSite {
     TelemetryCreate,
     /// Writing a telemetry stream fails with an I/O error.
     TelemetryWrite,
-    /// A trace file read yields a malformed record.
-    TraceRecord,
     /// A load-generator request batch panics mid-batch while holding a
     /// shard lock (exercises poisoned-shard recovery in the concurrent
     /// cache front-end).
@@ -66,7 +63,6 @@ impl FaultSite {
             FaultSite::WorkerPanic => 0x77_6f_72_6b,     // "work"
             FaultSite::TelemetryCreate => 0x74_63_72_74, // "tcrt"
             FaultSite::TelemetryWrite => 0x74_77_72_74,  // "twrt"
-            FaultSite::TraceRecord => 0x74_72_63_65,     // "trce"
             FaultSite::ServeBatch => 0x73_72_76_62,      // "srvb"
         }
     }
@@ -77,9 +73,6 @@ impl FaultSite {
             FaultSite::WorkerPanic => 0.125,
             FaultSite::TelemetryCreate => 0.125,
             FaultSite::TelemetryWrite => 0.125,
-            // Per-record: traces have thousands of records, so the rate
-            // is low enough that short reads often survive.
-            FaultSite::TraceRecord => 1.0 / 1024.0,
             // Per-batch: a short smoke run issues tens of batches per
             // thread, so several shards get poisoned and recovered.
             FaultSite::ServeBatch => 0.125,
@@ -92,7 +85,6 @@ impl FaultSite {
             FaultSite::WorkerPanic => "worker-panic",
             FaultSite::TelemetryCreate => "telemetry-create",
             FaultSite::TelemetryWrite => "telemetry-write",
-            FaultSite::TraceRecord => "trace-record",
             FaultSite::ServeBatch => "serve-batch",
         }
     }
@@ -131,41 +123,6 @@ impl FaultPlan {
     }
 }
 
-fn plan_slot() -> &'static Mutex<Option<FaultPlan>> {
-    static SLOT: OnceLock<Mutex<Option<FaultPlan>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs a process-wide fault plan (the `--inject-faults SEED` flags
-/// call this); `None` clears it.
-pub fn set_fault_plan(plan: Option<FaultPlan>) {
-    *plan_slot().lock().unwrap_or_else(PoisonError::into_inner) = plan;
-}
-
-/// The active fault plan: the [`set_fault_plan`] override when
-/// installed, else a plan seeded from `NUCACHE_FAULTS` when that parses
-/// as an integer, else `None` (no injection; an unparsable value warns
-/// once and is ignored rather than silently arming or disarming
-/// injection with a typo'd seed).
-pub fn active_fault_plan() -> Option<FaultPlan> {
-    if let Some(plan) = *plan_slot().lock().unwrap_or_else(PoisonError::into_inner) {
-        return Some(plan);
-    }
-    let raw = std::env::var("NUCACHE_FAULTS").ok()?;
-    match raw.trim().parse::<u64>() {
-        Ok(seed) => Some(FaultPlan::new(seed)),
-        Err(_) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "[fault] ignoring unparsable NUCACHE_FAULTS='{raw}' (expected a u64 seed)"
-                );
-            });
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +134,7 @@ mod tests {
             FaultSite::WorkerPanic,
             FaultSite::TelemetryCreate,
             FaultSite::TelemetryWrite,
-            FaultSite::TraceRecord,
+            FaultSite::ServeBatch,
         ] {
             for i in 0..64 {
                 assert_eq!(plan.should_fault(site, i), plan.should_fault(site, i));
@@ -217,14 +174,5 @@ mod tests {
         assert!(m.contains("injected fault"));
         assert!(m.contains("worker-panic"));
         assert!(m.contains("index 5"));
-    }
-
-    #[test]
-    fn override_wins_and_clears() {
-        set_fault_plan(Some(FaultPlan::new(11)));
-        assert_eq!(active_fault_plan(), Some(FaultPlan::new(11)));
-        set_fault_plan(None);
-        // With no override the result depends on NUCACHE_FAULTS, which
-        // the test environment does not set.
     }
 }

@@ -52,7 +52,7 @@ pub mod telemetry;
 pub use access::{Access, AccessKind};
 pub use addr::{Addr, CoreId, LineAddr, Pc};
 #[cfg(feature = "std")]
-pub use fault::{active_fault_plan, set_fault_plan, FaultPlan, FaultSite};
+pub use fault::{FaultPlan, FaultSite};
 pub use histogram::Log2Histogram;
 #[cfg(feature = "std")]
 pub use json::JsonValue;

@@ -19,7 +19,7 @@ pub enum ServiceLevel {
 ///
 /// Defaults follow the usual simulation parameters of the period: 1-cycle
 /// L1, 10-cycle L2, 30-cycle shared LLC, 200-cycle memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimingConfig {
     /// L1 hit latency.
     pub l1_hit: u32,

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 10 (selection-epoch sensitivity).
 fn main() -> std::process::ExitCode {
-    nucache_experiments::cli_run("fig10_epoch", || {
-        nucache_experiments::figs::fig10();
+    nucache_experiments::cli_run("fig10_epoch", |runner| {
+        nucache_experiments::figs::fig10(runner);
     })
 }

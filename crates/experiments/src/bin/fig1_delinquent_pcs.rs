@@ -1,6 +1,6 @@
 //! Regenerates Fig. 1 (delinquent-PC miss concentration).
 fn main() -> std::process::ExitCode {
-    nucache_experiments::cli_run("fig1_delinquent_pcs", || {
-        nucache_experiments::figs::fig1();
+    nucache_experiments::cli_run("fig1_delinquent_pcs", |runner| {
+        nucache_experiments::figs::fig1(runner);
     })
 }

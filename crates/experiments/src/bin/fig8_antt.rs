@@ -1,6 +1,6 @@
 //! Regenerates Fig. 8 (ANTT across core counts).
 fn main() -> std::process::ExitCode {
-    nucache_experiments::cli_run("fig8_antt", || {
-        nucache_experiments::figs::fig8();
+    nucache_experiments::cli_run("fig8_antt", |runner| {
+        nucache_experiments::figs::fig8(runner);
     })
 }

@@ -1,16 +1,18 @@
 //! Runs every table and figure of the evaluation.
 //!
 //! Simulations inside each step fan out over a worker pool (`--jobs N`,
-//! `NUCACHE_JOBS`, default: available parallelism); emitted CSVs are
-//! identical at any worker count. Per-step wall time and simulation
-//! throughput land in `bench_summary.json` next to the CSVs.
+//! default: available parallelism); emitted CSVs are identical at any
+//! worker count. One runner serves every step, so solo runs are shared
+//! across figures and every job of the evaluation gets its own index.
+//! Per-step wall time and simulation throughput land in
+//! `bench_summary.json` next to the CSVs.
 //!
 //! A step that panics is reported and skipped — the remaining steps
 //! still run, every failure lands in the manifest's `failures` section
 //! and in `failures.json` next to the CSVs, and the process exits
-//! non-zero naming every failed step. Within a step, the runner isolates
-//! panicking jobs the same way (see `DESIGN.md` §11), so partial results
-//! survive as far as each figure allows.
+//! non-zero. Within a step, the runner isolates panicking jobs the same
+//! way (see `DESIGN.md` §11), so partial results survive as far as each
+//! figure allows.
 //! `--telemetry DIR` streams every simulation's events into DIR and
 //! writes a single `manifest.json` covering the whole evaluation.
 //! `--inject-faults SEED` deterministically injects worker panics and
@@ -18,15 +20,9 @@
 
 #![allow(clippy::disallowed_types, reason = "wall time never reaches a simulation")]
 
-use nucache_experiments::panic_message;
-use nucache_sim::args::Args;
-use nucache_sim::telemetry::{git_revision, take_manifest_config, Manifest};
-use nucache_sim::{
-    default_jobs, set_default_jobs, take_degradations, take_failures, take_simulated_accesses,
-    FailureRecord, FaultPlan,
-};
+use nucache_experiments::{figs, tables};
+use nucache_sim::{panic_message, take_simulated_accesses, FailureRecord, Runner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -67,33 +63,10 @@ fn write_bench_summary(jobs: usize, total_seconds: f64, steps: &[StepStats]) {
     }
 }
 
-fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = Args::parse(argv.iter().cloned()).map_err(|e| e.to_string())?;
-    if args.flag("help") {
-        println!(
-            "options: --jobs N (worker threads; default: NUCACHE_JOBS or available parallelism) \
-             --telemetry DIR --inject-faults SEED --help"
-        );
-        return Ok(());
-    }
-    let jobs: usize = args.get_num("jobs", 0).map_err(|e| e.to_string())?;
-    let telemetry = args.get_or("telemetry", "").to_string();
-    let inject = args.get_or("inject-faults", "").to_string();
-    args.reject_unknown().map_err(|e| e.to_string())?;
-    if jobs >= 1 {
-        set_default_jobs(jobs);
-    }
-    if !inject.is_empty() {
-        let seed: u64 =
-            inject.parse().map_err(|_| format!("--inject-faults: bad seed '{inject}'"))?;
-        nucache_sim::set_fault_plan(Some(FaultPlan::new(seed)));
-        eprintln!("[run_all] injecting faults with plan seed {seed}");
-    }
-    let jobs = default_jobs();
-    // Runners re-derive this policy themselves; surfacing it here makes
-    // a watchdog flag in the log self-explanatory.
-    let policy = nucache_sim::JobPolicy::from_env();
+/// Runs every step on `runner`, isolating a panicking step.
+fn run_steps(runner: &Runner) {
+    let jobs = runner.jobs();
+    let policy = runner.policy();
     let watchdog = match policy.watchdog_secs {
         Some(nucache_sim::runner::DEFAULT_WATCHDOG_SECS) => String::new(),
         Some(secs) => format!(", watchdog {secs}s"),
@@ -109,22 +82,14 @@ fn run() -> Result<(), String> {
         policy.max_retries,
         if policy.max_retries == 1 { "y" } else { "ies" },
     );
-    let telemetry_dir = (!telemetry.is_empty()).then(|| PathBuf::from(telemetry));
-    if let Some(dir) = &telemetry_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        nucache_sim::set_default_telemetry_dir(Some(dir));
-        let _ = take_manifest_config();
-    }
 
     let t0 = Instant::now();
     let mut stats: Vec<StepStats> = Vec::new();
     let mut failed_steps: Vec<&'static str> = Vec::new();
     take_simulated_accesses(); // discard anything counted before the first step
-    let _ = take_failures(); // clean registries for this run
-    let _ = take_degradations();
-    let mut step = |name: &'static str, f: &dyn Fn()| {
+    let mut step = |name: &'static str, f: &dyn Fn(&Runner)| {
         let t = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(f));
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(runner)));
         let seconds = t.elapsed().as_secs_f64();
         let simulated_accesses = take_simulated_accesses();
         match outcome {
@@ -138,7 +103,7 @@ fn run() -> Result<(), String> {
                 // default hook; record the step and move on.
                 eprintln!("[run_all] {name} FAILED after {seconds:.1}s");
                 failed_steps.push(name);
-                nucache_sim::note_failure(FailureRecord {
+                runner.note_failure(FailureRecord {
                     stage: name.to_string(),
                     job: None,
                     index: None,
@@ -149,7 +114,6 @@ fn run() -> Result<(), String> {
         }
         stats.push(StepStats { id: name, seconds, simulated_accesses });
     };
-    use nucache_experiments::{figs, tables};
     step("table1", &tables::table1);
     step("table3", &tables::table3);
     step("table4", &tables::table4);
@@ -158,14 +122,14 @@ fn run() -> Result<(), String> {
     step("fig2", &figs::fig2);
     step("fig3", &figs::fig3);
     step("fig4", &figs::fig4);
-    step("fig5", &|| {
-        figs::fig5();
+    step("fig5", &|r| {
+        figs::fig5(r);
     });
-    step("fig6", &|| {
-        figs::fig6();
+    step("fig6", &|r| {
+        figs::fig6(r);
     });
-    step("fig7", &|| {
-        figs::fig7();
+    step("fig7", &|r| {
+        figs::fig7(r);
     });
     step("fig8", &figs::fig8);
     step("fig9", &figs::fig9);
@@ -176,49 +140,11 @@ fn run() -> Result<(), String> {
     eprintln!("[run_all] total {total:.1}s");
     write_bench_summary(jobs, total, &stats);
     eprintln!("[run_all] results in {}", nucache_experiments::out_dir().display());
-    let failures = take_failures();
-    let notes = take_degradations();
-    nucache_experiments::write_failures_json(&failures);
-    let n_failures = failures.len();
-    if let Some(dir) = &telemetry_dir {
-        let manifest = Manifest {
-            experiment: "run_all".to_string(),
-            argv,
-            git_revision: git_revision(),
-            wall_seconds: total,
-            jobs: jobs as u64,
-            quick: nucache_experiments::quick_mode(),
-            config: take_manifest_config(),
-            streams: Vec::new(),
-            failures,
-            notes,
-        };
-        match nucache_sim::write_manifest(dir, &manifest) {
-            Ok(path) => eprintln!("[run_all] telemetry in {} ({})", dir.display(), path.display()),
-            Err(e) => eprintln!("[run_all] failed to write manifest in {}: {e}", dir.display()),
-        }
-    }
     if !failed_steps.is_empty() {
-        return Err(format!(
-            "{} step(s) failed ({} failure record(s)): {}",
-            failed_steps.len(),
-            n_failures,
-            failed_steps.join(", ")
-        ));
+        eprintln!("[run_all] {} step(s) failed: {}", failed_steps.len(), failed_steps.join(", "));
     }
-    if n_failures > 0 {
-        return Err(format!("{n_failures} failure record(s); see failures.json"));
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("try --help");
-            ExitCode::FAILURE
-        }
-    }
+    nucache_experiments::cli_run("run_all", run_steps)
 }

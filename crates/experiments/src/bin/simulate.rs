@@ -14,21 +14,36 @@
 //! differential invariant oracle alongside the simulation: every
 //! tag-array operation is mirrored into a naive reference model and
 //! NUcache's epoch invariants are checked; any divergence aborts the run.
-
-#![allow(clippy::disallowed_types, reason = "wall time never reaches a simulation")]
+//!
+//! Input the simulator cannot build (a non-power-of-two LLC, a zero
+//! measurement window, NUcache flags the kernel rejects, more cores
+//! than a partitioning scheme has LLC ways) exits 1 with a message
+//! naming the flag. The run itself goes through the same runner and
+//! finish step as the figure binaries, so `--telemetry DIR` writes one
+//! stream plus `manifest.json`, and a stream that cannot be written
+//! degrades to a manifest note.
 
 use nucache_cache::CacheGeometry;
 use nucache_common::table::{f2, f3, Table};
 use nucache_core::NuCacheConfig;
+use nucache_experiments::{finish_run, telemetry_spec, usage_error};
 use nucache_sim::args::Args;
-use nucache_sim::telemetry::{git_revision, take_manifest_config, Manifest};
-use nucache_sim::{run_mix, Runner, Scheme, SimConfig};
+use nucache_sim::{Runner, Scheme, SimConfig, SimResult};
 use nucache_trace::{Mix, SpecWorkload};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// One validated `simulate` invocation.
+struct Plan {
+    config: SimConfig,
+    mix: Mix,
+    scheme: Scheme,
+    normalize: bool,
+    audit: bool,
+}
+
+/// Parses and validates the flags into a plan and the runner it runs
+/// on; `None` after printing `--help`.
+fn parse(argv: &[String]) -> Result<Option<(Plan, Runner)>, String> {
     let args = Args::parse(argv.iter().cloned()).map_err(|e| e.to_string())?;
     if args.flag("help") {
         println!(
@@ -36,7 +51,7 @@ fn run() -> Result<(), String> {
              --warmup N --measure N --seed N --deli-ways N --epoch N --normalize --jobs N \
              --telemetry DIR --audit --help"
         );
-        return Ok(());
+        return Ok(None);
     }
     let cores: usize = args.get_num("cores", 2).map_err(|e| e.to_string())?;
     if cores == 0 || cores > 64 {
@@ -58,28 +73,28 @@ fn run() -> Result<(), String> {
     let jobs: usize = args.get_num("jobs", 0).map_err(|e| e.to_string())?;
     let telemetry = args.get_or("telemetry", "").to_string();
     args.reject_unknown().map_err(|e| e.to_string())?;
-    if jobs >= 1 {
-        nucache_sim::set_default_jobs(jobs);
+    if audit && normalize {
+        return Err("--audit and --normalize cannot be combined (audit one run at a time)".into());
     }
-    let telemetry_dir = (!telemetry.is_empty()).then(|| PathBuf::from(telemetry));
-    if let Some(dir) = &telemetry_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        nucache_sim::set_default_telemetry_dir(Some(dir));
-        let _ = take_manifest_config();
+    if measure == 0 {
+        return Err("--measure must be at least 1".into());
     }
-    let t0 = std::time::Instant::now();
+    let llc_bytes =
+        llc_mb.checked_mul(1024 * 1024).filter(|_| llc_mb.is_power_of_two()).ok_or_else(|| {
+            format!("--llc-mb must be a power of two, got {llc_mb} (it defaults to --cores)")
+        })?;
+    let llc = CacheGeometry::new(llc_bytes, 16, 64);
 
     let workloads: Vec<SpecWorkload> = if workloads_arg.is_empty() {
         SpecWorkload::ALL.iter().copied().cycle().take(cores).collect()
     } else {
-        let parsed: Result<Vec<_>, String> = workloads_arg
+        workloads_arg
             .split(',')
             .map(|n| {
                 SpecWorkload::from_name(n.trim())
                     .ok_or_else(|| format!("unknown workload '{n}' (see table2_workloads)"))
             })
-            .collect();
-        parsed?
+            .collect::<Result<_, _>>()?
     };
     if workloads.len() != cores {
         return Err(format!("--workloads lists {} entries for {cores} cores", workloads.len()));
@@ -93,121 +108,87 @@ fn run() -> Result<(), String> {
         "ucp" => Scheme::Ucp,
         "pipp" => Scheme::Pipp,
         "nucache" => {
-            Scheme::NuCache(NuCacheConfig::default().with_deli_ways(deli).with_epoch_len(epoch))
+            let nucache = NuCacheConfig { deli_ways: deli, epoch_len: epoch, ..Default::default() };
+            if let Err(e) = nucache.to_kernel(llc.num_sets(), llc.associativity()).validate() {
+                return Err(format!("invalid --deli-ways {deli} / --epoch {epoch}: {e}"));
+            }
+            Scheme::NuCache(nucache)
         }
         other => return Err(format!("unknown scheme '{other}'")),
     };
-
-    let config = SimConfig::baseline(cores)
-        .with_llc(CacheGeometry::new(llc_mb * 1024 * 1024, 16, 64))
-        .with_run_lengths(warmup, measure)
-        .with_seed(seed);
-    let mix = Mix::new("cli", workloads);
-
-    if audit && normalize {
-        return Err("--audit and --normalize cannot be combined (audit one run at a time)".into());
+    if matches!(scheme, Scheme::Ucp | Scheme::Pipp) && cores > llc.associativity() {
+        return Err(format!(
+            "--cores {cores} exceeds the LLC's {} ways; {scheme} needs at least one way per core",
+            llc.associativity()
+        ));
     }
 
-    println!("scheme={scheme} cores={cores} llc={llc_mb}MB warmup={warmup} measure={measure}\n");
+    let config = SimConfig::baseline(1)
+        .with_cores(cores)
+        .with_llc(llc)
+        .with_run_lengths(warmup, measure)
+        .with_seed(seed);
+    let mut runner = Runner::new().with_telemetry(telemetry_spec(&telemetry)?);
+    if jobs >= 1 {
+        runner = runner.with_jobs(jobs);
+    }
+    let mix = Mix::new("cli", workloads);
+    Ok(Some((Plan { config, mix, scheme, normalize, audit }, runner)))
+}
+
+/// Prints the per-core table of one result.
+fn print_cores(result: &SimResult) {
     let mut t = Table::new(["core", "workload", "ipc", "llc_mpki", "llc_hit_rate"]);
-    if audit {
+    for (i, c) in result.per_core.iter().enumerate() {
+        t.row([i.to_string(), c.workload.clone(), f3(c.ipc), f2(c.llc_mpki), f2(c.llc.hit_rate())]);
+    }
+    print!("{}", t.to_text());
+}
+
+fn simulate(plan: &Plan, runner: &Runner) {
+    let Plan { config, mix, scheme, .. } = plan;
+    println!(
+        "scheme={scheme} cores={} llc={}MB warmup={} measure={}\n",
+        config.num_cores,
+        config.llc.size_bytes() >> 20,
+        config.warmup_accesses,
+        config.measure_accesses
+    );
+    if plan.audit {
         // A completed audited run means zero divergences: the oracle
         // panics at the first disagreement with the reference model.
-        let (result, stats) = nucache_sim::run_mix_audited(&config, &mix, &scheme);
-        for (i, c) in result.per_core.iter().enumerate() {
-            t.row([
-                i.to_string(),
-                c.workload.clone(),
-                f3(c.ipc),
-                f2(c.llc_mpki),
-                f2(c.llc.hit_rate()),
-            ]);
-        }
-        print!("{}", t.to_text());
+        let (result, stats) = nucache_sim::run_mix_audited(config, mix, scheme);
+        print_cores(&result);
         println!("\nLLC totals: {}", result.llc_totals);
         println!(
             "audit: {} array ops mirrored, {} epoch checks, 0 divergences",
             stats.array_ops, stats.epoch_checks
         );
-    } else if normalize {
+    } else if plan.normalize {
         // The runner computes the mix run and the per-workload solo
         // baselines concurrently.
-        let runner = Runner::new(config);
-        let grid = runner.evaluate_grid(std::slice::from_ref(&mix), std::slice::from_ref(&scheme));
+        let grid =
+            runner.evaluate_grid(config, std::slice::from_ref(mix), std::slice::from_ref(scheme));
         let (result, metrics) = &grid[0][0];
-        for (i, c) in result.per_core.iter().enumerate() {
-            t.row([
-                i.to_string(),
-                c.workload.clone(),
-                f3(c.ipc),
-                f2(c.llc_mpki),
-                f2(c.llc.hit_rate()),
-            ]);
-        }
-        print!("{}", t.to_text());
+        print_cores(result);
         println!("\nweighted speedup: {:.3}", metrics.weighted_speedup);
         println!("ANTT:             {:.3}", metrics.antt);
         println!("throughput:       {:.3}", metrics.throughput);
         println!("fairness:         {:.3}", metrics.fairness);
     } else {
-        let result = if let Some(spec) = nucache_sim::TelemetrySpec::from_default_dir() {
-            nucache_sim::telemetry::note_manifest_config(&config);
-            let path =
-                nucache_sim::telemetry::stream_path(&spec.dir, 0, mix.name(), &scheme.name());
-            let mut sink = nucache_common::JsonlSink::create(&path)
-                .map_err(|e| format!("creating telemetry stream {}: {e}", path.display()))?;
-            let r = nucache_sim::run_mix_telemetry(
-                &config,
-                &mix,
-                &scheme,
-                spec.snapshot_interval,
-                &mut sink,
-            );
-            sink.finish()
-                .map_err(|e| format!("writing telemetry stream {}: {e}", path.display()))?;
-            r
-        } else {
-            run_mix(&config, &mix, &scheme)
-        };
-        for (i, c) in result.per_core.iter().enumerate() {
-            t.row([
-                i.to_string(),
-                c.workload.clone(),
-                f3(c.ipc),
-                f2(c.llc_mpki),
-                f2(c.llc.hit_rate()),
-            ]);
-        }
-        print!("{}", t.to_text());
+        let result = runner.run_jobs(config, &[(mix.clone(), scheme.clone())]).remove(0);
+        print_cores(&result);
         println!("\nLLC totals: {}", result.llc_totals);
     }
-    if let Some(dir) = &telemetry_dir {
-        let manifest = Manifest {
-            experiment: "simulate".to_string(),
-            argv,
-            git_revision: git_revision(),
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            jobs: nucache_sim::default_jobs() as u64,
-            quick: nucache_experiments::quick_mode(),
-            config: take_manifest_config(),
-            streams: Vec::new(),
-            failures: nucache_sim::take_failures(),
-            notes: nucache_sim::take_degradations(),
-        };
-        let path = nucache_sim::write_manifest(dir, &manifest)
-            .map_err(|e| format!("writing manifest in {}: {e}", dir.display()))?;
-        println!("[telemetry] wrote {}", path.display());
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("try --help");
-            ExitCode::FAILURE
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv) {
+        Ok(Some((plan, runner))) => {
+            finish_run("simulate", argv, &runner, |runner| simulate(&plan, runner))
         }
+        Ok(None) => ExitCode::SUCCESS,
+        Err(e) => usage_error(&e),
     }
 }

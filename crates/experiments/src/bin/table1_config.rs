@@ -1,6 +1,6 @@
 //! Regenerates Table 1 (system configuration).
 fn main() -> std::process::ExitCode {
-    nucache_experiments::cli_run("table1_config", || {
-        nucache_experiments::tables::table1();
+    nucache_experiments::cli_run("table1_config", |runner| {
+        nucache_experiments::tables::table1(runner);
     })
 }

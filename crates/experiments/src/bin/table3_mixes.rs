@@ -1,6 +1,6 @@
 //! Regenerates Table 3 (multiprogrammed mixes).
 fn main() -> std::process::ExitCode {
-    nucache_experiments::cli_run("table3_mixes", || {
-        nucache_experiments::tables::table3();
+    nucache_experiments::cli_run("table3_mixes", |runner| {
+        nucache_experiments::tables::table3(runner);
     })
 }

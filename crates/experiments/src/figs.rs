@@ -1,17 +1,16 @@
 //! Figure generators (characterization, headline results, sensitivity).
 //!
-//! Every multi-run figure fans its simulations out through
-//! [`nucache_sim::runner`]: jobs are enumerated up front, dispatched over
-//! the worker pool, and the tables are then assembled serially from the
-//! ordered results — so the emitted CSVs are identical at any `--jobs`
-//! value.
+//! Every multi-run figure fans its simulations out through the run's
+//! [`Runner`]: jobs are enumerated up front, dispatched over the worker
+//! pool, and the tables are then assembled serially from the ordered
+//! results — so the emitted CSVs are identical at any `--jobs` value.
 
 use crate::characterize::characterize;
 use crate::{emit, geomean, run_lengths};
 use nucache_cache::CacheGeometry;
 use nucache_common::table::{f2, f3, Table};
 use nucache_core::{NuCacheConfig, SelectionStrategy};
-use nucache_sim::runner::{default_jobs, parallel_map, Runner};
+use nucache_sim::runner::{parallel_map, Runner};
 use nucache_sim::{Scheme, SimConfig};
 use nucache_trace::{Mix, SpecWorkload};
 
@@ -21,11 +20,11 @@ fn base_config(cores: usize) -> SimConfig {
 }
 
 /// Fig. 1: cumulative LLC-miss coverage of the top-N delinquent PCs.
-pub fn fig1() {
+pub fn fig1(runner: &Runner) {
     let config = base_config(1);
     let mut t = Table::new(["workload", "pcs_tracked", "top1", "top2", "top4", "top8", "top16"]);
     let llcs =
-        parallel_map(default_jobs(), &SpecWorkload::ALL, |&w| characterize(w, 400_000, &config));
+        parallel_map(runner.jobs(), &SpecWorkload::ALL, |&w| characterize(w, 400_000, &config));
     for (w, llc) in SpecWorkload::ALL.iter().zip(&llcs) {
         let tr = llc.tracker();
         t.row([
@@ -38,11 +37,11 @@ pub fn fig1() {
             f2(tr.top_k_coverage(16)),
         ]);
     }
-    emit("fig1_delinquent_pcs", "Cumulative miss coverage of top-N delinquent PCs", &t);
+    emit(runner, "fig1_delinquent_pcs", "Cumulative miss coverage of top-N delinquent PCs", &t);
 }
 
 /// Fig. 2: Next-Use distance distributions of the top delinquent PCs.
-pub fn fig2() {
+pub fn fig2(runner: &Runner) {
     let config = base_config(1);
     let workloads = [
         SpecWorkload::SphinxLike,
@@ -53,7 +52,7 @@ pub fn fig2() {
         SpecWorkload::LibquantumLike,
     ];
     let mut t = Table::new(["workload", "pc_rank", "samples", "p25", "p50", "p75", "p90"]);
-    let llcs = parallel_map(default_jobs(), &workloads, |&w| characterize(w, 400_000, &config));
+    let llcs = parallel_map(runner.jobs(), &workloads, |&w| characterize(w, 400_000, &config));
     for (w, llc) in workloads.iter().zip(&llcs) {
         for (rank, (pc, _)) in llc.tracker().top_k(3).into_iter().enumerate() {
             if let Some(h) = llc.monitor().histogram(pc) {
@@ -80,12 +79,16 @@ pub fn fig2() {
             }
         }
     }
-    emit("fig2_next_use", "Next-Use distance quantiles (set-accesses) for top delinquent PCs", &t);
+    emit(
+        runner,
+        "fig2_next_use",
+        "Next-Use distance quantiles (set-accesses) for top delinquent PCs",
+        &t,
+    );
 }
 
 /// Fig. 3: single-core NUcache speedup over LRU.
-pub fn fig3() {
-    let runner = Runner::new(base_config(1));
+pub fn fig3(runner: &Runner) {
     let mut t =
         Table::new(["workload", "lru_ipc", "nucache_ipc", "speedup", "lru_mpki", "nucache_mpki"]);
     let jobs: Vec<(Mix, Scheme)> = SpecWorkload::ALL
@@ -95,7 +98,7 @@ pub fn fig3() {
             [(mix.clone(), Scheme::Lru), (mix, Scheme::nucache_default())]
         })
         .collect();
-    let results = runner.run_jobs(&jobs);
+    let results = runner.run_jobs(&base_config(1), &jobs);
     let mut speedups = Vec::new();
     for (w, pair) in SpecWorkload::ALL.iter().zip(results.chunks(2)) {
         let (lru, nuc) = (&pair[0], &pair[1]);
@@ -118,16 +121,21 @@ pub fn fig3() {
         "-".into(),
         "-".into(),
     ]);
-    emit("fig3_single_core", "Single-core NUcache speedup over LRU", &t);
+    emit(runner, "fig3_single_core", "Single-core NUcache speedup over LRU", &t);
 }
 
 /// One headline experiment: all mixes of a suite under the comparison
 /// schemes; reports per-mix weighted speedup normalized to LRU, plus
 /// ANTT. Returns (scheme names, per-scheme geomean normalized WS).
-fn headline(id: &str, title: &str, cores: usize, mixes: &[Mix]) -> Vec<(String, f64)> {
-    let runner = Runner::new(base_config(cores));
+fn headline(
+    runner: &Runner,
+    id: &str,
+    title: &str,
+    cores: usize,
+    mixes: &[Mix],
+) -> Vec<(String, f64)> {
     let schemes = Scheme::headline_suite();
-    let grid = runner.evaluate_grid(mixes, &schemes);
+    let grid = runner.evaluate_grid(&base_config(cores), mixes, &schemes);
     let mut header: Vec<String> = vec!["mix".into()];
     for s in &schemes {
         header.push(format!("{}_ws", s.name()));
@@ -168,14 +176,15 @@ fn headline(id: &str, title: &str, cores: usize, mixes: &[Mix]) -> Vec<(String, 
         result.push((s.name(), g));
     }
     t.row(geo_row);
-    emit(id, title, &t);
-    emit(&format!("{id}_antt"), &format!("{title} — ANTT (lower is better)"), &antt_table);
+    emit(runner, id, title, &t);
+    emit(runner, &format!("{id}_antt"), &format!("{title} — ANTT (lower is better)"), &antt_table);
     result
 }
 
 /// Fig. 5: dual-core headline (abstract: ≈9.6% over baseline).
-pub fn fig5() -> Vec<(String, f64)> {
+pub fn fig5(runner: &Runner) -> Vec<(String, f64)> {
     headline(
+        runner,
         "fig5_dual_core",
         "2-core weighted speedup (normalized to LRU)",
         2,
@@ -184,8 +193,9 @@ pub fn fig5() -> Vec<(String, f64)> {
 }
 
 /// Fig. 6: quad-core headline (abstract: ≈30%).
-pub fn fig6() -> Vec<(String, f64)> {
+pub fn fig6(runner: &Runner) -> Vec<(String, f64)> {
     headline(
+        runner,
         "fig6_quad_core",
         "4-core weighted speedup (normalized to LRU)",
         4,
@@ -194,8 +204,9 @@ pub fn fig6() -> Vec<(String, f64)> {
 }
 
 /// Fig. 7: eight-core headline (abstract: ≈33%).
-pub fn fig7() -> Vec<(String, f64)> {
+pub fn fig7(runner: &Runner) -> Vec<(String, f64)> {
     headline(
+        runner,
         "fig7_eight_core",
         "8-core weighted speedup (normalized to LRU)",
         8,
@@ -204,9 +215,8 @@ pub fn fig7() -> Vec<(String, f64)> {
 }
 
 /// Fig. 4: sensitivity to the number of DeliWays (4-core subset).
-pub fn fig4() {
+pub fn fig4(runner: &Runner) {
     let mixes = &Mix::quad_core_suite()[..3];
-    let runner = Runner::new(base_config(4));
     let deli_counts = [0usize, 2, 4, 6, 8, 10, 12];
     // 0 DeliWays is exactly the 16-way LRU baseline; it doubles as the
     // normalization reference for the other columns.
@@ -220,7 +230,7 @@ pub fn fig4() {
             }
         })
         .collect();
-    let grid = runner.evaluate_grid(mixes, &schemes);
+    let grid = runner.evaluate_grid(&base_config(4), mixes, &schemes);
     let mut header: Vec<String> = vec!["mix".into()];
     header.extend(deli_counts.iter().map(|d| format!("d{d}_norm_ws")));
     let mut t = Table::new(header);
@@ -232,11 +242,11 @@ pub fn fig4() {
         }
         t.row(row);
     }
-    emit("fig4_deliways", "Sensitivity to DeliWays count (4-core, normalized WS)", &t);
+    emit(runner, "fig4_deliways", "Sensitivity to DeliWays count (4-core, normalized WS)", &t);
 }
 
 /// Fig. 8: ANTT summary across core counts (NUcache vs LRU vs UCP).
-pub fn fig8() {
+pub fn fig8(runner: &Runner) {
     let mut t = Table::new(["cores", "mix", "lru_antt", "ucp_antt", "nucache_antt"]);
     let schemes = [Scheme::Lru, Scheme::Ucp, Scheme::nucache_default()];
     for (cores, mixes) in [
@@ -244,10 +254,9 @@ pub fn fig8() {
         (4, Mix::quad_core_suite()),
         (8, Mix::eight_core_suite()),
     ] {
-        let runner = Runner::new(base_config(cores));
         // A representative subset per core count keeps runtime sane.
         let subset: Vec<Mix> = mixes.iter().take(4).cloned().collect();
-        let grid = runner.evaluate_grid(&subset, &schemes);
+        let grid = runner.evaluate_grid(&base_config(cores), &subset, &schemes);
         for (mix, row_results) in subset.iter().zip(&grid) {
             t.row([
                 cores.to_string(),
@@ -258,11 +267,11 @@ pub fn fig8() {
             ]);
         }
     }
-    emit("fig8_antt", "ANTT across core counts (lower is better)", &t);
+    emit(runner, "fig8_antt", "ANTT across core counts (lower is better)", &t);
 }
 
 /// Fig. 9: sensitivity to LLC capacity (4-core subset).
-pub fn fig9() {
+pub fn fig9(runner: &Runner) {
     let mixes = &Mix::quad_core_suite()[..3];
     let sizes_mb = [2u64, 4, 8, 16];
     let schemes = [Scheme::Lru, Scheme::nucache_default()];
@@ -275,10 +284,9 @@ pub fn fig9() {
     let mut rows: Vec<Vec<String>> = mixes.iter().map(|m| vec![m.name().to_string()]).collect();
     for mb in sizes_mb {
         let config = base_config(4).with_llc(CacheGeometry::new(mb * 1024 * 1024, 16, 64));
-        // Solo IPC depends on the LLC geometry, so each capacity gets its
-        // own runner (and thus its own solo cache).
-        let runner = Runner::new(config);
-        let grid = runner.evaluate_grid(mixes, &schemes);
+        // Solo IPC depends on the LLC geometry; the runner memoizes solo
+        // runs per configuration.
+        let grid = runner.evaluate_grid(&config, mixes, &schemes);
         for (i, row_results) in grid.iter().enumerate() {
             let lru_ws = row_results[0].1.weighted_speedup;
             rows[i].push(f3(lru_ws));
@@ -288,21 +296,20 @@ pub fn fig9() {
     for row in rows {
         t.row(row);
     }
-    emit("fig9_cache_size", "Sensitivity to LLC capacity (4-core)", &t);
+    emit(runner, "fig9_cache_size", "Sensitivity to LLC capacity (4-core)", &t);
 }
 
 /// Fig. 10: sensitivity to the PC-selection epoch length (4-core subset).
-pub fn fig10() {
+pub fn fig10(runner: &Runner) {
     let mixes = &Mix::quad_core_suite()[..3];
     let epochs = [25_000u64, 50_000, 100_000, 200_000, 400_000];
-    let runner = Runner::new(base_config(4));
     // Column 0 (LRU) is the normalization reference; the table reports
     // only the epoch columns.
     let mut schemes = vec![Scheme::Lru];
     schemes.extend(
         epochs.iter().map(|&e| Scheme::NuCache(NuCacheConfig::default().with_epoch_len(e))),
     );
-    let grid = runner.evaluate_grid(mixes, &schemes);
+    let grid = runner.evaluate_grid(&base_config(4), mixes, &schemes);
     let mut header: Vec<String> = vec!["mix".into()];
     header.extend(epochs.iter().map(|e| format!("epoch_{}k", e / 1000)));
     let mut t = Table::new(header);
@@ -314,12 +321,12 @@ pub fn fig10() {
         }
         t.row(row);
     }
-    emit("fig10_epoch", "Sensitivity to selection-epoch length (normalized WS)", &t);
+    emit(runner, "fig10_epoch", "Sensitivity to selection-epoch length (normalized WS)", &t);
 }
 
 /// Fig. 12: OPT headroom — how much of the LRU→Belady gap each
 /// PC-aware scheme closes, on single-core LLC-filtered traces.
-pub fn fig12() {
+pub fn fig12(runner: &Runner) {
     use nucache_cache::hierarchy::{PrivateHierarchy, PrivateOutcome};
     use nucache_cache::opt::optimal_misses;
     use nucache_cache::policy::{Lru, ShipPc};
@@ -338,7 +345,7 @@ pub fn fig12() {
         "opt_hit",
         "nucache_gap_closed",
     ]);
-    let rows = parallel_map(default_jobs(), &SpecWorkload::ALL, |&w| {
+    let rows = parallel_map(runner.jobs(), &SpecWorkload::ALL, |&w| {
         // Capture the LLC-filtered (pc, line) stream.
         let core = CoreId::new(0);
         let mut hierarchy = PrivateHierarchy::new(core, config.l1, config.l2);
@@ -389,11 +396,11 @@ pub fn fig12() {
     for row in rows {
         t.row(row);
     }
-    emit("fig12_opt_headroom", "Belady-OPT headroom closed by PC-aware schemes (solo)", &t);
+    emit(runner, "fig12_opt_headroom", "Belady-OPT headroom closed by PC-aware schemes (solo)", &t);
 }
 
 /// Fig. 11: PC-selection strategy ablation (4-core subset).
-pub fn fig11() {
+pub fn fig11(runner: &Runner) {
     let mixes = &Mix::quad_core_suite()[..3];
     let strategies = [
         ("cost-benefit", SelectionStrategy::CostBenefit),
@@ -402,13 +409,12 @@ pub fn fig11() {
         ("random-8", SelectionStrategy::Random(8)),
         ("none", SelectionStrategy::None),
     ];
-    let runner = Runner::new(base_config(4));
     // Column 0 (LRU) is the normalization reference.
     let mut schemes = vec![Scheme::Lru];
     schemes.extend(
         strategies.iter().map(|(_, s)| Scheme::NuCache(NuCacheConfig::default().with_strategy(*s))),
     );
-    let grid = runner.evaluate_grid(mixes, &schemes);
+    let grid = runner.evaluate_grid(&base_config(4), mixes, &schemes);
     let mut header: Vec<String> = vec!["mix".into()];
     header.extend(strategies.iter().map(|(n, _)| n.to_string()));
     let mut t = Table::new(header);
@@ -420,5 +426,5 @@ pub fn fig11() {
         }
         t.row(row);
     }
-    emit("fig11_selection_ablation", "PC-selection strategy ablation (normalized WS)", &t);
+    emit(runner, "fig11_selection_ablation", "PC-selection strategy ablation (normalized WS)", &t);
 }

@@ -7,13 +7,13 @@ use nucache_common::CoreId;
 use nucache_core::overhead::{nucache_overhead, pipp_overhead, tadip_overhead, ucp_overhead};
 use nucache_core::NuCacheConfig;
 use nucache_sim::config::{BASELINE_LLC_BYTES_PER_CORE, BASELINE_LLC_WAYS};
-use nucache_sim::runner::{default_jobs, parallel_map};
+use nucache_sim::runner::{parallel_map, Runner};
 use nucache_sim::scheme::PARTITION_EPOCH;
 use nucache_sim::{run_solo, SimConfig};
 use nucache_trace::{Mix, SpecWorkload, TraceGen, TraceSummary};
 
 /// Table 1: the simulated system configuration.
-pub fn table1() {
+pub fn table1(runner: &Runner) {
     let config = SimConfig::baseline(4);
     let nu = NuCacheConfig::default();
     let mut t = Table::new(["parameter", "value"]);
@@ -47,11 +47,11 @@ pub fn table1() {
     row("UCP/PIPP epoch", format!("{PARTITION_EPOCH} LLC accesses, UMON-DSS 1 set in 32"));
     let (warm, meas) = run_lengths();
     row("run length / core", format!("{warm} warm-up + {meas} measured accesses"));
-    emit("table1_config", "Simulated system configuration", &t);
+    emit(runner, "table1_config", "Simulated system configuration", &t);
 }
 
 /// Table 2: workload inventory with solo behaviour.
-pub fn table2() {
+pub fn table2(runner: &Runner) {
     let (warm, meas) = run_lengths();
     let config = SimConfig::baseline(1).with_run_lengths(warm, meas);
     let mut t = Table::new([
@@ -64,7 +64,7 @@ pub fn table2() {
         "pcs",
         "top4_pc_cov",
     ]);
-    let rows = parallel_map(default_jobs(), &SpecWorkload::ALL, |&w| {
+    let rows = parallel_map(runner.jobs(), &SpecWorkload::ALL, |&w| {
         let summary = TraceSummary::from_accesses(
             TraceGen::new(&w.spec(), CoreId::new(0), config.seed).take(200_000),
         );
@@ -82,11 +82,11 @@ pub fn table2() {
             f2(summary.top_pc_coverage(4)),
         ]);
     }
-    emit("table2_workloads", "Workload inventory (solo on 1 MiB LLC)", &t);
+    emit(runner, "table2_workloads", "Workload inventory (solo on 1 MiB LLC)", &t);
 }
 
 /// Table 3: the multiprogrammed mixes.
-pub fn table3() {
+pub fn table3(runner: &Runner) {
     let mut t = Table::new(["mix", "cores", "workloads"]);
     for mix in Mix::dual_core_suite()
         .into_iter()
@@ -96,11 +96,11 @@ pub fn table3() {
         let members: Vec<&str> = mix.workloads().iter().map(|w| w.name()).collect();
         t.row([mix.name().to_string(), mix.num_cores().to_string(), members.join("+")]);
     }
-    emit("table3_mixes", "Multiprogrammed mixes", &t);
+    emit(runner, "table3_mixes", "Multiprogrammed mixes", &t);
 }
 
 /// Table 4: hardware storage overhead per scheme.
-pub fn table4() {
+pub fn table4(runner: &Runner) {
     let mut t = Table::new([
         "cores",
         "scheme",
@@ -130,7 +130,7 @@ pub fn table4() {
             ]);
         }
     }
-    emit("table4_overhead", "Hardware storage overhead", &t);
+    emit(runner, "table4_overhead", "Hardware storage overhead", &t);
 }
 
 #[cfg(test)]
@@ -143,9 +143,10 @@ mod tests {
     #[test]
     fn static_tables_emit() {
         std::env::set_var("NUCACHE_OUT", std::env::temp_dir().join("nucache_tables_test"));
-        table1();
-        table3();
-        table4();
+        let runner = Runner::new();
+        table1(&runner);
+        table3(&runner);
+        table4(&runner);
         assert!(crate::out_dir().join("table3_mixes.csv").exists());
     }
 }

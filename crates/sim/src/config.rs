@@ -31,7 +31,7 @@ pub const BASELINE_SEED: u64 = 0x5eed_2011;
 /// sized at 1 MiB per core, 64 B blocks everywhere, and the default
 /// latency ladder. Per-core run lengths: 300k warm-up accesses followed
 /// by 1M measured accesses.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SimConfig {
     /// Number of cores.
     pub num_cores: usize,

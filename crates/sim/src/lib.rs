@@ -12,7 +12,8 @@
 //! * [`SimConfig`] — the full system description (Table 1);
 //! * [`Scheme`] — which shared-LLC organization to instantiate;
 //! * [`run_mix`] — simulate one multiprogrammed mix under one scheme;
-//! * [`Evaluator`] — caches solo runs and computes normalized metrics;
+//! * [`Runner`] — runs a run's jobs in parallel, memoizes the solo runs
+//!   that normalization needs, and keeps the run's failure log;
 //! * [`telemetry`] — JSONL event streams and run manifests.
 //!
 //! # Execution model: memoization and parallelism
@@ -21,18 +22,17 @@
 //! same solo baselines normalize every scheme, and sweeps share their
 //! base points. Two layers keep that cheap without giving up determinism:
 //!
-//! * **Memoization.** [`Evaluator`] computes each workload's solo
+//! * **Memoization.** [`Runner`] computes each workload's solo
 //!   (single-core, shared-LRU) run at most once per configuration and
-//!   reuses it for every normalized metric. Because all runs are
-//!   deterministic functions of `(config, mix, scheme)`, a memoized
+//!   reuses it for every normalized metric of the run. Because all runs
+//!   are deterministic functions of `(config, mix, scheme)`, a memoized
 //!   result is indistinguishable from a fresh one.
 //! * **Parallelism.** [`Runner`] fans independent (mix, scheme) jobs out
 //!   across worker threads via [`parallel_map`], which preserves input
 //!   order in its output vector: results land in the same slots at any
-//!   `--jobs` value (or under [`set_default_jobs`] /`NUCACHE_JOBS`), so
-//!   emitted tables are bit-identical whether run serially or on every
-//!   core. Simulations share no mutable state — each job builds its own
-//!   LLC, trace generators and clocks.
+//!   `--jobs` value, so emitted tables are bit-identical whether run
+//!   serially or on every core. Simulations share no mutable state —
+//!   each job builds its own LLC, trace generators and clocks.
 //!
 //! Telemetry keeps the same properties: each job writes its own JSONL
 //! stream (no shared writer), events carry no wall-clock timestamps, and
@@ -53,15 +53,16 @@
 //! * telemetry I/O errors degrade (dropped stream, single stderr
 //!   warning, manifest note) rather than abort — simulation results are
 //!   never affected;
-//! * a seeded fault plan ([`nucache_common::fault`], installed via
-//!   `--inject-faults` / `NUCACHE_FAULTS`) deterministically injects
-//!   worker panics and telemetry/trace I/O errors to exercise all of the
-//!   above; with no plan active these paths are pure observation and
-//!   outputs are bit-identical to a fault-oblivious runner.
+//! * a seeded fault plan ([`nucache_common::fault`], handed to the
+//!   runner with [`Runner::with_fault_plan`], from `--inject-faults`)
+//!   deterministically injects worker panics and telemetry I/O errors
+//!   to exercise all of the above; with no plan these paths are pure
+//!   observation and outputs are bit-identical to a fault-oblivious
+//!   runner.
 //!
-//! Failures and degradations land in the run manifest's `failures` /
-//! `notes` sections via [`telemetry::note_failure`] and
-//! [`telemetry::note_degradation`].
+//! Failures and degradations land in the runner's log
+//! ([`Runner::note_failure`], [`Runner::note_degradation`]), from which
+//! the run manifest's `failures` and `notes` sections are written.
 //!
 //! # Examples
 //!
@@ -82,7 +83,6 @@
 pub mod args;
 pub mod config;
 pub mod driver;
-pub mod evaluator;
 pub mod runner;
 pub mod scheme;
 pub mod telemetry;
@@ -92,15 +92,11 @@ pub use driver::{
     run_mix, run_mix_audited, run_mix_nucache, run_mix_on, run_mix_on_sink, run_mix_telemetry,
     run_solo, take_simulated_accesses, CoreResult, SimResult,
 };
-pub use evaluator::Evaluator;
 pub use nucache_cache::AuditStats;
-pub use nucache_common::fault::{active_fault_plan, set_fault_plan, FaultPlan, FaultSite};
+pub use nucache_common::fault::{FaultPlan, FaultSite};
 pub use runner::{
-    default_jobs, parallel_map, set_default_jobs, try_parallel_map, JobFailure, JobPolicy,
-    ParallelReport, Runner, StuckJob,
+    panic_message, parallel_map, try_parallel_map, JobFailure, JobPolicy, ParallelReport, Runner,
+    StuckJob,
 };
 pub use scheme::Scheme;
-pub use telemetry::{
-    default_telemetry_dir, note_degradation, note_failure, set_default_telemetry_dir,
-    take_degradations, take_failures, write_manifest, FailureRecord, Manifest, TelemetrySpec,
-};
+pub use telemetry::{write_manifest, FailureRecord, Manifest, TelemetrySpec};

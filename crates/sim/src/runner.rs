@@ -14,19 +14,17 @@
 //!   [`JobFailure`] (index, attempts, message) while the other workers
 //!   keep draining the queue; a [`JobPolicy`] adds bounded per-job retry
 //!   and a wall-clock watchdog that *flags* (never kills) stuck jobs;
-//! * [`Runner`] layers a thread-safe memoized solo-run cache on top, so
-//!   normalization references are computed once per workload even when
-//!   many jobs need them at the same time, and reports job failures and
-//!   degraded telemetry streams into the run-manifest registries
-//!   ([`crate::telemetry::note_failure`]) instead of discarding a batch;
-//! * worker count comes from `--jobs N` / `NUCACHE_JOBS`, defaulting to
-//!   the machine's available parallelism.
+//! * [`Runner`] owns everything one run shares: the worker count, the
+//!   policy, the fault plan, the telemetry directory, one job counter
+//!   for every stream name and fault decision, a thread-safe memo of
+//!   solo runs keyed by (configuration, workload), and the log of
+//!   failures, degradations and the first configuration run that the
+//!   run manifest is written from.
 //!
-//! With a seeded fault plan active ([`nucache_common::fault`]), the
-//! runner deterministically injects worker panics and telemetry I/O
-//! errors so every one of those degradation paths is exercised; with no
-//! plan, results are bit-identical to a runner without any of this
-//! machinery.
+//! With a seeded fault plan ([`nucache_common::fault`]), the runner
+//! deterministically injects worker panics and telemetry I/O errors so
+//! every one of those degradation paths is exercised; with no plan,
+//! results are bit-identical to a runner without any of this machinery.
 //!
 //! # Examples
 //!
@@ -35,10 +33,10 @@
 //! use nucache_sim::{Scheme, SimConfig};
 //! use nucache_trace::{Mix, SpecWorkload};
 //!
-//! let runner = Runner::new(SimConfig::demo()).with_jobs(2);
+//! let runner = Runner::new().with_jobs(2);
 //! let mixes = [Mix::new("m", vec![SpecWorkload::HmmerLike, SpecWorkload::GobmkLike])];
 //! let schemes = [Scheme::Lru, Scheme::nucache_default()];
-//! let grid = runner.evaluate_grid(&mixes, &schemes);
+//! let grid = runner.evaluate_grid(&SimConfig::demo(), &mixes, &schemes);
 //! assert_eq!(grid.len(), 1);
 //! assert_eq!(grid[0].len(), 2);
 //! assert!(grid[0][0].1.weighted_speedup > 0.0);
@@ -47,8 +45,8 @@
 use crate::config::SimConfig;
 use crate::driver::{run_mix, run_mix_telemetry, run_solo, CoreResult, SimResult};
 use crate::scheme::Scheme;
-use crate::telemetry::{note_degradation, note_failure, stream_path, FailureRecord, TelemetrySpec};
-use nucache_common::fault::{active_fault_plan, FaultPlan, FaultSite};
+use crate::telemetry::{stream_path, FailureRecord, TelemetrySpec};
+use nucache_common::fault::{FaultPlan, FaultSite};
 use nucache_common::telemetry::JsonlSink;
 use nucache_cpu::MultiProgramMetrics;
 use nucache_trace::{Mix, SpecWorkload};
@@ -56,46 +54,6 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock, PoisonError};
-
-/// Process-wide worker-count override installed by `--jobs` flags
-/// (0 = no override).
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs a process-wide worker-count override taking precedence over
-/// `NUCACHE_JOBS`; passing 0 clears it.
-pub fn set_default_jobs(jobs: usize) {
-    JOBS_OVERRIDE.store(jobs, Ordering::Relaxed);
-}
-
-/// Worker count for new runners: the [`set_default_jobs`] override when
-/// installed, else `NUCACHE_JOBS` when set to a positive integer, else
-/// the machine's available parallelism.
-///
-/// An unusable `NUCACHE_JOBS` value (unparsable, or zero) warns once on
-/// stderr instead of silently serializing the batch — a typo like
-/// `NUCACHE_JOBS=8x` should not quietly cost a machine's worth of
-/// parallelism.
-pub fn default_jobs() -> usize {
-    let explicit = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if explicit >= 1 {
-        return explicit;
-    }
-    if let Ok(raw) = std::env::var("NUCACHE_JOBS") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => return n,
-            _ => {
-                static WARNED: Once = Once::new();
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "[runner] ignoring invalid NUCACHE_JOBS='{raw}' (expected a positive \
-                         integer); using available parallelism"
-                    );
-                });
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// Default watchdog threshold: far beyond any healthy job on this
 /// workload set, so flags mean "investigate", not noise.
@@ -125,7 +83,7 @@ impl JobPolicy {
     /// The default policy with `NUCACHE_WATCHDOG_SECS` applied when set
     /// (`0` disables the watchdog; an unparsable value warns once and is
     /// ignored).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let mut policy = JobPolicy::default();
         if let Ok(raw) = std::env::var("NUCACHE_WATCHDOG_SECS") {
             match raw.trim().parse::<u64>() {
@@ -192,7 +150,7 @@ impl<R> ParallelReport<R> {
 }
 
 /// Renders a `catch_unwind` payload as a message string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -363,85 +321,93 @@ where
         .collect()
 }
 
-/// Thread-safe memoized solo-run cache.
+/// Solo-run cells keyed by (configuration, workload).
+type SoloCells = BTreeMap<(SimConfig, SpecWorkload), Arc<OnceLock<CoreResult>>>;
+
+/// Thread-safe memo of solo runs, keyed by (configuration, workload).
 ///
-/// Each workload maps to an [`OnceLock`] cell: the first thread to need a
+/// Each key maps to an [`OnceLock`] cell: the first thread to need a
 /// solo result computes it, any thread arriving meanwhile blocks on the
 /// cell instead of duplicating the (expensive) run.
 #[derive(Debug, Default)]
 struct SoloCache {
-    cells: Mutex<BTreeMap<SpecWorkload, Arc<OnceLock<CoreResult>>>>,
+    cells: Mutex<SoloCells>,
 }
 
 impl SoloCache {
     /// The cell map, recovering from poisoning: the map holds only plain
-    /// data (workload keys and completed results), which stays valid
-    /// even if a worker panicked mid-insert was impossible — entries are
-    /// inserted atomically — so one panicked job must not wedge every
-    /// later solo lookup.
-    fn cells(
-        &self,
-    ) -> std::sync::MutexGuard<'_, BTreeMap<SpecWorkload, Arc<OnceLock<CoreResult>>>> {
+    /// data (keys and completed results), and entries are inserted
+    /// atomically, so one panicked job must not wedge every later solo
+    /// lookup.
+    fn cells(&self) -> std::sync::MutexGuard<'_, SoloCells> {
         self.cells.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn get(&self, config: &SimConfig, workload: SpecWorkload) -> CoreResult {
         let cell = {
             let mut map = self.cells();
-            Arc::clone(map.entry(workload).or_default())
+            Arc::clone(map.entry((*config, workload)).or_default())
         };
         cell.get_or_init(|| run_solo(config, workload)).clone()
     }
-
-    fn snapshot(&self) -> BTreeMap<SpecWorkload, CoreResult> {
-        let map = self.cells();
-        map.iter().filter_map(|(&w, cell)| cell.get().map(|r| (w, r.clone()))).collect()
-    }
 }
 
-/// Fans simulation jobs out over worker threads for one system
-/// configuration, memoizing the solo runs that normalization needs.
+/// Runs the simulation jobs of one run over worker threads and keeps
+/// what the run shares: the worker count, the [`JobPolicy`], the fault
+/// plan, the telemetry directory, the job counter, the solo memo and
+/// the failure and degradation log.
 ///
 /// Results are bit-identical at any worker count: jobs are pure, the
-/// output order is fixed by submission order, and the solo cache only
+/// output order is fixed by submission order, and the solo memo only
 /// changes *who* computes a result, never its value. Failure handling
 /// follows the same rule — a panicking job is isolated, retried per the
-/// [`JobPolicy`], recorded in the failure registry and (through
+/// policy, recorded in this runner's failure log and (through
 /// [`Runner::try_run_jobs`]) surfaced as a per-job `Result`, while the
 /// rest of the batch completes normally.
+///
+/// Every batch draws its job indices from one counter, so one runner
+/// per run names every telemetry stream uniquely and never repeats a
+/// fault decision.
 #[derive(Debug)]
 pub struct Runner {
-    config: SimConfig,
     jobs: usize,
     policy: JobPolicy,
     fault_plan: Option<FaultPlan>,
-    solo_cache: SoloCache,
     telemetry: Option<TelemetrySpec>,
-    /// Next job index — monotonic across `run_jobs` calls so a
-    /// multi-batch experiment never reuses a JSONL stream name and
-    /// fault-injection decisions differ between batches.
+    solo_cache: SoloCache,
+    /// Next job index — monotonic across batches so a run never reuses
+    /// a JSONL stream name and fault decisions differ between batches.
     stream_index: AtomicUsize,
+    /// The configuration of the first batch, for the run manifest.
+    first_config: OnceLock<SimConfig>,
+    failures: Mutex<Vec<FailureRecord>>,
+    degradations: Mutex<Vec<String>>,
+    /// Latch for the one stderr warning a run's degradations get.
+    warned: Once,
+}
+
+impl Default for Runner {
+    fn default() -> Self {
+        Runner::new()
+    }
 }
 
 impl Runner {
-    /// Creates a runner for `config` with [`default_jobs`] workers,
-    /// picking up the process-wide telemetry directory
-    /// ([`crate::telemetry::default_telemetry_dir`]) and fault plan
-    /// ([`nucache_common::fault::active_fault_plan`]) when active.
-    pub fn new(config: SimConfig) -> Self {
-        config.validate();
-        let telemetry = TelemetrySpec::from_default_dir();
-        if telemetry.is_some() {
-            crate::telemetry::note_manifest_config(&config);
-        }
+    /// Creates a runner with one worker per available CPU, the default
+    /// [`JobPolicy`] with `NUCACHE_WATCHDOG_SECS` applied, no fault
+    /// injection and no telemetry.
+    pub fn new() -> Self {
         Runner {
-            config,
-            jobs: default_jobs(),
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             policy: JobPolicy::from_env(),
-            fault_plan: active_fault_plan(),
+            fault_plan: None,
+            telemetry: None,
             solo_cache: SoloCache::default(),
-            telemetry,
             stream_index: AtomicUsize::new(0),
+            first_config: OnceLock::new(),
+            failures: Mutex::new(Vec::new()),
+            degradations: Mutex::new(Vec::new()),
+            warned: Once::new(),
         }
     }
 
@@ -457,17 +423,15 @@ impl Runner {
         self
     }
 
-    /// Overrides fault injection: `Some(plan)` injects that plan's
-    /// faults into this runner's jobs, `None` disables injection
-    /// (regardless of the process-wide plan).
+    /// Sets fault injection: `Some(plan)` injects that plan's faults
+    /// into this runner's jobs, `None` disables injection.
     pub fn with_fault_plan(mut self, plan: Option<FaultPlan>) -> Self {
         self.fault_plan = plan;
         self
     }
 
-    /// Overrides telemetry recording: `Some(spec)` streams every mix job
-    /// into per-job JSONL files under `spec.dir`, `None` disables it
-    /// (regardless of the process-wide default).
+    /// Sets telemetry recording: `Some(spec)` streams every mix job into
+    /// its own JSONL file under `spec.dir`, `None` disables it.
     pub fn with_telemetry(mut self, telemetry: Option<TelemetrySpec>) -> Self {
         self.telemetry = telemetry;
         self
@@ -488,19 +452,58 @@ impl Runner {
         &self.policy
     }
 
-    /// The system configuration in use.
-    pub const fn config(&self) -> &SimConfig {
-        &self.config
+    /// The configuration of the first job batch this runner ran, which
+    /// the run manifest records (configuration sweeps record their base
+    /// point).
+    pub fn first_config(&self) -> Option<SimConfig> {
+        self.first_config.get().copied()
     }
 
-    /// Solo result for `workload`, computed on first use and cached.
-    pub fn solo(&self, workload: SpecWorkload) -> CoreResult {
-        self.solo_cache.get(&self.config, workload)
+    /// Records a failed job or step for the run manifest and
+    /// `failures.json`. Callers that recover from a failure still note
+    /// it — a manifest describing partial results must say what is
+    /// missing and why.
+    pub fn note_failure(&self, record: FailureRecord) {
+        self.failures.lock().unwrap_or_else(PoisonError::into_inner).push(record);
     }
 
-    /// Solo IPC vector for a mix.
-    pub fn solo_ipcs(&self, mix: &Mix) -> Vec<f64> {
-        mix.workloads().iter().map(|&w| self.solo(w).ipc).collect()
+    /// Records a graceful degradation (a telemetry stream lost to an I/O
+    /// error, a job flagged as stuck, …) for the manifest's `notes`
+    /// section. The first note also warns on stderr; later ones are
+    /// manifest-only so a batch with many degraded streams does not bury
+    /// real output.
+    pub fn note_degradation(&self, note: impl Into<String>) {
+        let note = note.into();
+        self.warned.call_once(|| {
+            eprintln!("[degraded] {note} (further degradations recorded in the run manifest only)");
+        });
+        self.degradations.lock().unwrap_or_else(PoisonError::into_inner).push(note);
+    }
+
+    /// Every failure noted so far, sorted by (stage, index) so the
+    /// listing is deterministic even though workers note failures in
+    /// completion order.
+    pub fn failures(&self) -> Vec<FailureRecord> {
+        // Copy out under a temporary guard, then sort without the lock.
+        let mut failures =
+            Vec::clone(&self.failures.lock().unwrap_or_else(PoisonError::into_inner));
+        failures.sort_by(|a, b| (&a.stage, a.index).cmp(&(&b.stage, b.index)));
+        failures
+    }
+
+    /// Every degradation noted so far, sorted for a deterministic
+    /// listing.
+    pub fn degradations(&self) -> Vec<String> {
+        let mut notes =
+            Vec::clone(&self.degradations.lock().unwrap_or_else(PoisonError::into_inner));
+        notes.sort();
+        notes
+    }
+
+    /// Solo result for `workload` under `config`, computed on first use
+    /// and memoized.
+    pub fn solo(&self, config: &SimConfig, workload: SpecWorkload) -> CoreResult {
+        self.solo_cache.get(config, workload)
     }
 
     /// Runs one job, with telemetry when configured. A telemetry stream
@@ -508,9 +511,9 @@ impl Runner {
     /// stream that cannot be written is dropped and its partial file
     /// removed. Both degrade with a single stderr warning plus a
     /// manifest note, and never change the simulation result.
-    fn run_one(&self, index: usize, mix: &Mix, scheme: &Scheme) -> SimResult {
+    fn run_one(&self, config: &SimConfig, index: usize, mix: &Mix, scheme: &Scheme) -> SimResult {
         let Some(spec) = &self.telemetry else {
-            return run_mix(&self.config, mix, scheme);
+            return run_mix(config, mix, scheme);
         };
         let path = stream_path(&spec.dir, index, mix.name(), &scheme.name());
         let created = match &self.fault_plan {
@@ -529,9 +532,9 @@ impl Runner {
                     }
                 }
                 let result =
-                    run_mix_telemetry(&self.config, mix, scheme, spec.snapshot_interval, &mut sink);
+                    run_mix_telemetry(config, mix, scheme, spec.snapshot_interval, &mut sink);
                 if let Err(e) = sink.finish() {
-                    note_degradation(format!(
+                    self.note_degradation(format!(
                         "telemetry stream {} incomplete ({e}); partial file removed, job result kept",
                         path.display()
                     ));
@@ -540,31 +543,36 @@ impl Runner {
                 result
             }
             Err(e) => {
-                note_degradation(format!(
+                self.note_degradation(format!(
                     "creating telemetry stream {} failed ({e}); job ran without telemetry",
                     path.display()
                 ));
-                run_mix(&self.config, mix, scheme)
+                run_mix(config, mix, scheme)
             }
         }
     }
 
-    /// Simulates every (mix, scheme) job with panic isolation, returning
-    /// one `Result` per job in submission order.
+    /// Simulates every (mix, scheme) job under `config` with panic
+    /// isolation, returning one `Result` per job in submission order.
     ///
     /// A job that panics (after the policy's retries) yields an `Err`
     /// with its index and panic message; every other job completes and
     /// yields its result — one poisoned mix cannot discard a batch. Each
-    /// failure is also recorded in the process-wide registry
-    /// ([`crate::telemetry::note_failure`]) so run manifests list it,
-    /// and watchdog-flagged jobs are noted as degradations.
+    /// failure is also recorded in this runner's failure log
+    /// ([`Runner::failures`]) so run manifests list it, and
+    /// watchdog-flagged jobs are noted as degradations.
     ///
     /// With telemetry on, each job additionally streams its events into
     /// its own `NNN_mix__scheme.jsonl` file (no shared writer, so worker
     /// count never affects stream contents); the simulation results are
-    /// identical either way. With a fault plan active, worker panics and
+    /// identical either way. With a fault plan, worker panics and
     /// telemetry I/O errors are injected per the plan's schedule.
-    pub fn try_run_jobs(&self, jobs: &[(Mix, Scheme)]) -> Vec<Result<SimResult, JobFailure>> {
+    pub fn try_run_jobs(
+        &self,
+        config: &SimConfig,
+        jobs: &[(Mix, Scheme)],
+    ) -> Vec<Result<SimResult, JobFailure>> {
+        let _ = self.first_config.set(*config);
         let base = self.stream_index.fetch_add(jobs.len(), Ordering::Relaxed);
         let indexed: Vec<(usize, &(Mix, Scheme))> =
             jobs.iter().enumerate().map(|(i, job)| (base + i, job)).collect();
@@ -575,11 +583,11 @@ impl Runner {
                         panic!("{}", plan.message(FaultSite::WorkerPanic, index as u64));
                     }
                 }
-                self.run_one(index, mix, scheme)
+                self.run_one(config, index, mix, scheme)
             });
         for s in &report.stuck {
             let (mix, scheme) = &jobs[s.index];
-            note_degradation(format!(
+            self.note_degradation(format!(
                 "watchdog flagged job {} ({}/{}) as stuck after {:.1}s",
                 base + s.index,
                 mix.name(),
@@ -594,7 +602,7 @@ impl Runner {
             .map(|(i, result)| {
                 result.map_err(|failure| {
                     let (mix, scheme) = &jobs[i];
-                    note_failure(FailureRecord {
+                    self.note_failure(FailureRecord {
                         stage: "job".to_string(),
                         job: Some(format!("{}/{}", mix.name(), scheme.name())),
                         index: Some((base + i) as u64),
@@ -607,8 +615,8 @@ impl Runner {
             .collect()
     }
 
-    /// Simulates every (mix, scheme) job, fanning out over the worker
-    /// pool; results are in job order.
+    /// Simulates every (mix, scheme) job under `config`, fanning out
+    /// over the worker pool; results are in job order.
     ///
     /// This is the infallible façade over [`Runner::try_run_jobs`] for
     /// callers that need every result (a figure cannot be assembled from
@@ -617,11 +625,11 @@ impl Runner {
     /// # Panics
     ///
     /// Panics if any job ultimately fails. Every other job still runs to
-    /// completion first and all failures are recorded in the manifest
-    /// registry, so an outer `catch_unwind` (as in `run_all`) loses only
-    /// the aborted step, not the batch's diagnostics.
-    pub fn run_jobs(&self, jobs: &[(Mix, Scheme)]) -> Vec<SimResult> {
-        let results = self.try_run_jobs(jobs);
+    /// completion first and all failures are recorded in the failure
+    /// log, so an outer `catch_unwind` (as in `run_all`) loses only the
+    /// aborted step, not the batch's diagnostics.
+    pub fn run_jobs(&self, config: &SimConfig, jobs: &[(Mix, Scheme)]) -> Vec<SimResult> {
+        let results = self.try_run_jobs(config, jobs);
         let failed = results.iter().filter(|r| r.is_err()).count();
         let total = jobs.len();
         results
@@ -633,27 +641,33 @@ impl Runner {
             .collect()
     }
 
-    /// Evaluates the full `mixes` × `schemes` grid in parallel and
-    /// returns `grid[mix_index][scheme_index]` pairs of raw result and
-    /// normalized metrics.
+    /// Evaluates the full `mixes` × `schemes` grid under `config` in
+    /// parallel and returns `grid[mix_index][scheme_index]` pairs of raw
+    /// result and normalized metrics.
     ///
     /// Solo runs are primed first (in parallel, one per distinct
-    /// workload) so the grid jobs never serialize on the solo cache.
+    /// workload) so the grid jobs never serialize on the solo memo.
     pub fn evaluate_grid(
         &self,
+        config: &SimConfig,
         mixes: &[Mix],
         schemes: &[Scheme],
     ) -> Vec<Vec<(SimResult, MultiProgramMetrics)>> {
-        self.prime_solos(mixes);
+        let mut workloads: Vec<SpecWorkload> =
+            mixes.iter().flat_map(|m| m.workloads().iter().copied()).collect();
+        workloads.sort();
+        workloads.dedup();
+        parallel_map(self.jobs, &workloads, |&w| self.solo(config, w));
         let jobs: Vec<(Mix, Scheme)> = mixes
             .iter()
             .flat_map(|m| schemes.iter().map(move |s| (m.clone(), s.clone())))
             .collect();
-        let mut results = self.run_jobs(&jobs).into_iter();
+        let mut results = self.run_jobs(config, &jobs).into_iter();
         mixes
             .iter()
             .map(|mix| {
-                let solo = self.solo_ipcs(mix);
+                let solo: Vec<f64> =
+                    mix.workloads().iter().map(|&w| self.solo(config, w).ipc).collect();
                 schemes
                     .iter()
                     .map(|_| {
@@ -665,27 +679,6 @@ impl Runner {
                     .collect()
             })
             .collect()
-    }
-
-    /// Computes (and caches) the solo result of every distinct workload
-    /// in `mixes`, in parallel.
-    pub fn prime_solos(&self, mixes: &[Mix]) {
-        let mut workloads: Vec<SpecWorkload> =
-            mixes.iter().flat_map(|m| m.workloads().iter().copied()).collect();
-        workloads.sort();
-        workloads.dedup();
-        parallel_map(self.jobs, &workloads, |&w| self.solo(w));
-    }
-
-    /// An [`Evaluator`](crate::Evaluator) pre-seeded with every solo
-    /// result this runner has computed, for serial code paths that want
-    /// the classic interface.
-    pub fn primed_evaluator(&self) -> crate::Evaluator {
-        let mut eval = crate::Evaluator::new(self.config);
-        for (w, r) in self.solo_cache.snapshot() {
-            eval.prime_solo(w, r);
-        }
-        eval
     }
 }
 
@@ -795,22 +788,46 @@ mod tests {
         assert!(message.contains("boom on five"), "message keeps the cause: {message}");
     }
 
+    /// The settled solo results, in key order.
+    fn settled(runner: &Runner) -> Vec<(SpecWorkload, CoreResult)> {
+        let cells: Vec<_> =
+            runner.solo_cache.cells().iter().map(|(&(_, w), cell)| (w, Arc::clone(cell))).collect();
+        cells.into_iter().filter_map(|(w, cell)| cell.get().map(|r| (w, r.clone()))).collect()
+    }
+
     #[test]
     fn solo_cache_computes_once() {
-        let runner = Runner::new(SimConfig::demo()).with_jobs(4);
+        let config = SimConfig::demo();
+        let runner = Runner::new().with_jobs(4);
         // Hammer the same workload from many threads; OnceLock must hand
         // everyone the same result.
         let items = [SpecWorkload::HmmerLike; 16];
-        let results = parallel_map(4, &items, |&w| runner.solo(w));
+        let results = parallel_map(4, &items, |&w| runner.solo(&config, w));
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
-        assert_eq!(runner.solo_cache.snapshot().len(), 1);
+        assert_eq!(settled(&runner).len(), 1);
+    }
+
+    #[test]
+    fn solo_cache_keys_by_configuration() {
+        // One runner serves several configurations (the fig9 shape):
+        // each (configuration, workload) pair is its own solo run.
+        let small = SimConfig::demo();
+        let large = small.with_llc(nucache_cache::CacheGeometry::new(128 * 1024, 16, 64));
+        let runner = Runner::new();
+        for config in [small, large] {
+            assert_eq!(
+                runner.solo(&config, SpecWorkload::McfLike),
+                run_solo(&config, SpecWorkload::McfLike)
+            );
+        }
+        assert_eq!(settled(&runner).len(), 2);
     }
 
     #[test]
     fn solo_cache_survives_poisoning() {
-        let runner = Runner::new(SimConfig::demo());
+        let runner = Runner::new();
         // Poison the cells mutex by panicking while holding it.
         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let _guard = runner.solo_cache.cells.lock().unwrap_or_else(PoisonError::into_inner);
@@ -818,15 +835,15 @@ mod tests {
         }));
         assert!(runner.solo_cache.cells.is_poisoned(), "lock is poisoned");
         // Lookups must still work: the cached values are plain data.
-        let solo = runner.solo(SpecWorkload::HmmerLike);
+        let solo = runner.solo(&SimConfig::demo(), SpecWorkload::HmmerLike);
         assert!(solo.ipc > 0.0);
-        assert_eq!(runner.solo_cache.snapshot().len(), 1);
+        assert_eq!(settled(&runner).len(), 1);
     }
 
     #[test]
     fn poisoned_cache_yields_the_same_results_as_a_fresh_runner() {
         let config = SimConfig::demo();
-        let runner = Runner::new(config);
+        let runner = Runner::new();
         // A job panics while holding the memoization lock; the
         // PoisonError::into_inner recovery path must not change what
         // later lookups return.
@@ -835,15 +852,19 @@ mod tests {
             panic!("job died holding the cells lock");
         }));
         assert!(runner.solo_cache.cells.is_poisoned(), "lock is poisoned");
-        let fresh = Runner::new(config);
+        let fresh = Runner::new();
         for w in [SpecWorkload::HmmerLike, SpecWorkload::GobmkLike] {
-            assert_eq!(runner.solo(w), fresh.solo(w), "poison recovery changed {w:?}");
+            assert_eq!(
+                runner.solo(&config, w),
+                fresh.solo(&config, w),
+                "poison recovery changed {w:?}"
+            );
         }
-        assert_eq!(runner.solo_cache.snapshot(), fresh.solo_cache.snapshot());
+        assert_eq!(settled(&runner), settled(&fresh));
     }
 
     #[test]
-    fn grid_matches_serial_evaluator() {
+    fn grid_matches_direct_runs() {
         let config = SimConfig::demo();
         let mixes = [
             Mix::new("a", vec![SpecWorkload::HmmerLike, SpecWorkload::GobmkLike]),
@@ -851,13 +872,15 @@ mod tests {
         ];
         let schemes = [Scheme::Lru, Scheme::nucache_default()];
 
-        let runner = Runner::new(config).with_jobs(4);
-        let grid = runner.evaluate_grid(&mixes, &schemes);
+        let runner = Runner::new().with_jobs(4);
+        let grid = runner.evaluate_grid(&config, &mixes, &schemes);
 
-        let mut eval = crate::Evaluator::new(config);
         for (i, mix) in mixes.iter().enumerate() {
+            let solo: Vec<f64> =
+                mix.workloads().iter().map(|&w| run_solo(&config, w).ipc).collect();
             for (j, scheme) in schemes.iter().enumerate() {
-                let (result, metrics) = eval.evaluate(mix, scheme);
+                let result = run_mix(&config, mix, scheme);
+                let metrics = MultiProgramMetrics::new(&result.ipcs(), &solo);
                 assert_eq!(grid[i][j].0, result, "mix {i} scheme {j}");
                 assert_eq!(
                     grid[i][j].1.weighted_speedup, metrics.weighted_speedup,
@@ -868,10 +891,47 @@ mod tests {
     }
 
     #[test]
-    fn primed_evaluator_reuses_solos() {
-        let runner = Runner::new(SimConfig::demo());
-        runner.solo(SpecWorkload::HmmerLike);
-        let eval = runner.primed_evaluator();
-        assert_eq!(eval.cached_solo_runs(), 1);
+    fn evaluate_produces_consistent_metrics() {
+        let runner = Runner::new();
+        let mix = Mix::new("m", vec![SpecWorkload::HmmerLike, SpecWorkload::GobmkLike]);
+        let grid = runner.evaluate_grid(&SimConfig::demo(), &[mix], &[Scheme::Lru]);
+        let (result, metrics) = &grid[0][0];
+        assert_eq!(metrics.num_cores(), 2);
+        // Friendly co-runners on a demo cache: each core should retain a
+        // decent fraction of its solo performance.
+        assert!(metrics.weighted_speedup > 1.0, "ws = {}", metrics.weighted_speedup);
+        assert!(metrics.weighted_speedup <= 2.0 + 1e-9);
+        assert_eq!(result.per_core.len(), 2);
+    }
+
+    #[test]
+    fn speedups_do_not_exceed_solo_by_much() {
+        // Sharing can only help via extra capacity; with disjoint address
+        // spaces a core cannot beat its solo IPC by more than noise.
+        let runner = Runner::new();
+        let mix = Mix::new("m", vec![SpecWorkload::Bzip2Like, SpecWorkload::SjengLike]);
+        let grid = runner.evaluate_grid(&SimConfig::demo(), &[mix], &[Scheme::Lru]);
+        for s in &grid[0][0].1.per_core_speedup {
+            assert!(*s <= 1.05, "per-core speedup {s} > 1.05 is implausible");
+            assert!(*s > 0.0);
+        }
+    }
+
+    #[test]
+    fn failure_log_lists_sorted() {
+        let runner = Runner::new();
+        for (job, index) in [("b/lru", 7), ("a/lru", 2)] {
+            runner.note_failure(FailureRecord {
+                stage: "job".into(),
+                job: Some(job.into()),
+                index: Some(index),
+                attempts: 1,
+                message: "boom".into(),
+            });
+        }
+        let failures = runner.failures();
+        assert_eq!(failures.len(), 2);
+        assert_eq!(failures[0].index, Some(2), "sorted by index within a stage");
+        assert_eq!(failures[1].index, Some(7));
     }
 }

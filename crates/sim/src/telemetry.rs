@@ -1,26 +1,21 @@
-//! Run-level telemetry plumbing: output directory resolution, JSONL
-//! stream naming, and machine-readable run manifests.
+//! Run-level telemetry plumbing: JSONL stream naming and
+//! machine-readable run manifests.
 //!
 //! The event *model* lives in [`nucache_common::telemetry`]; this module
 //! is the simulation-side glue that turns it into files on disk:
 //!
-//! * [`set_default_telemetry_dir`] / [`default_telemetry_dir`] — a
-//!   process-wide destination directory, installed by `--telemetry DIR`
-//!   flags (or the `NUCACHE_TELEMETRY` environment variable). When unset,
-//!   telemetry is off and simulations skip event construction entirely;
-//! * [`TelemetrySpec`] — per-run knobs (destination, LLC snapshot
-//!   cadence);
+//! * [`TelemetrySpec`] — per-run knobs (destination directory, LLC
+//!   snapshot cadence), handed to a [`Runner`](crate::Runner) with
+//!   `with_telemetry`. Without one, telemetry is off and simulations
+//!   skip event construction entirely;
 //! * [`stream_path`] — the canonical `NNN_mix__scheme.jsonl` naming for
 //!   one simulation's event stream;
 //! * [`Manifest`] / [`write_manifest`] — the `manifest.json` that makes
 //!   every emitted CSV reproducible: configuration, git revision,
 //!   wall-clock time, the streams written, and — when the run did not go
 //!   cleanly — a `failures` section ([`FailureRecord`]) plus degradation
-//!   `notes`, so partial results are explicitly labelled as partial;
-//! * [`note_failure`] / [`note_degradation`] — process-wide registries
-//!   the runner and driver report into as failures happen; experiment
-//!   drivers drain them ([`take_failures`], [`take_degradations`]) into
-//!   the manifest they write.
+//!   `notes` from the runner's log, so partial results are explicitly
+//!   labelled as partial.
 //!
 //! Streams are written one file per (mix, scheme) job, so parallel
 //! runners never contend on a writer and stream contents are
@@ -29,61 +24,11 @@
 use crate::config::SimConfig;
 use nucache_common::json::JsonValue;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Default accesses between periodic LLC counter snapshots — matches the
 /// default NUcache selection epoch, so `llc_epoch` and `selection_epoch`
 /// events interleave at comparable cadence.
 pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 100_000;
-
-fn dir_override() -> &'static Mutex<Option<PathBuf>> {
-    static DIR: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-    DIR.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs a process-wide telemetry output directory (the `--telemetry`
-/// flag calls this); `None` clears the override.
-#[expect(clippy::expect_used, reason = "a poisoned lock means a writer panicked; propagate it")]
-pub fn set_default_telemetry_dir(dir: Option<&Path>) {
-    *dir_override().lock().expect("telemetry dir lock poisoned") = dir.map(Path::to_path_buf);
-}
-
-/// The active telemetry directory: the [`set_default_telemetry_dir`]
-/// override when installed, else `NUCACHE_TELEMETRY` when set and
-/// non-empty, else `None` (telemetry off).
-#[expect(clippy::expect_used, reason = "a poisoned lock means a writer panicked; propagate it")]
-pub fn default_telemetry_dir() -> Option<PathBuf> {
-    if let Some(dir) = dir_override().lock().expect("telemetry dir lock poisoned").clone() {
-        return Some(dir);
-    }
-    std::env::var_os("NUCACHE_TELEMETRY").filter(|v| !v.is_empty()).map(PathBuf::from)
-}
-
-fn config_slot() -> &'static Mutex<Option<SimConfig>> {
-    static SLOT: OnceLock<Mutex<Option<SimConfig>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Records the system configuration of a telemetered run for the
-/// manifest. The first configuration noted since the last
-/// [`take_manifest_config`] wins, so configuration sweeps record their
-/// base point. [`Runner`](crate::Runner) and
-/// [`Evaluator`](crate::Evaluator) call this automatically whenever
-/// telemetry is active.
-#[expect(clippy::expect_used, reason = "a poisoned lock means a writer panicked; propagate it")]
-pub fn note_manifest_config(config: &SimConfig) {
-    let mut slot = config_slot().lock().expect("manifest config lock poisoned");
-    if slot.is_none() {
-        *slot = Some(*config);
-    }
-}
-
-/// Removes and returns the noted manifest configuration, resetting the
-/// slot for the next experiment.
-#[expect(clippy::expect_used, reason = "a poisoned lock means a writer panicked; propagate it")]
-pub fn take_manifest_config() -> Option<SimConfig> {
-    config_slot().lock().expect("manifest config lock poisoned").take()
-}
 
 /// One failed pipeline unit — a simulation job that kept panicking, or
 /// an experiment step that aborted — recorded for the run manifest's
@@ -95,8 +40,7 @@ pub struct FailureRecord {
     pub stage: String,
     /// The failed job, as `mix/scheme`, when the failure was job-level.
     pub job: Option<String>,
-    /// Submission index of the failed job within its runner, when
-    /// job-level.
+    /// Index of the failed job within its run, when job-level.
     pub index: Option<u64>,
     /// How many times the unit was attempted before being given up on.
     pub attempts: u64,
@@ -118,56 +62,6 @@ impl FailureRecord {
     }
 }
 
-fn failure_slot() -> &'static Mutex<Vec<FailureRecord>> {
-    static SLOT: OnceLock<Mutex<Vec<FailureRecord>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Records a failed job or step in the process-wide registry that
-/// [`take_failures`] drains into the run manifest. Callers that recover
-/// from failures still note them — a manifest describing partial
-/// results must say what is missing and why.
-pub fn note_failure(record: FailureRecord) {
-    failure_slot().lock().unwrap_or_else(PoisonError::into_inner).push(record);
-}
-
-/// Removes and returns every failure noted since the last call, sorted
-/// by (stage, index) so the manifest listing is deterministic even
-/// though workers note failures in completion order.
-pub fn take_failures() -> Vec<FailureRecord> {
-    let mut failures =
-        std::mem::take(&mut *failure_slot().lock().unwrap_or_else(PoisonError::into_inner));
-    failures.sort_by(|a, b| (&a.stage, a.index).cmp(&(&b.stage, b.index)));
-    failures
-}
-
-fn degradation_slot() -> &'static Mutex<Vec<String>> {
-    static SLOT: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Records a graceful degradation (a telemetry stream lost to an I/O
-/// error, a job flagged as stuck, …) for the manifest's `notes` section.
-/// The first note also warns on stderr; later ones are manifest-only so
-/// a batch with many degraded streams does not bury real output.
-pub fn note_degradation(note: impl Into<String>) {
-    let note = note.into();
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!("[degraded] {note} (further degradations recorded in the run manifest only)");
-    });
-    degradation_slot().lock().unwrap_or_else(PoisonError::into_inner).push(note);
-}
-
-/// Removes and returns every degradation note since the last call,
-/// sorted for a deterministic manifest listing.
-pub fn take_degradations() -> Vec<String> {
-    let mut notes =
-        std::mem::take(&mut *degradation_slot().lock().unwrap_or_else(PoisonError::into_inner));
-    notes.sort();
-    notes
-}
-
 /// Where and how densely one run records telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySpec {
@@ -181,11 +75,6 @@ impl TelemetrySpec {
     /// Creates a spec writing to `dir` at the default snapshot cadence.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         TelemetrySpec { dir: dir.into(), snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL }
-    }
-
-    /// A spec for the process-wide default directory, if one is active.
-    pub fn from_default_dir() -> Option<Self> {
-        default_telemetry_dir().map(TelemetrySpec::new)
     }
 }
 
@@ -336,16 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn default_dir_env_and_override() {
-        // Override wins and is clearable. (Env-var behaviour is covered
-        // implicitly: with no override and no env var, the default is
-        // None in the test environment unless the harness sets it.)
-        set_default_telemetry_dir(Some(Path::new("/tmp/override")));
-        assert_eq!(default_telemetry_dir(), Some(PathBuf::from("/tmp/override")));
-        set_default_telemetry_dir(None);
-    }
-
-    #[test]
     fn git_revision_resolves_in_this_repo() {
         // In a checkout the revision must resolve to a 40-hex-digit commit
         // id; a source export with no `.git` above it has none.
@@ -463,34 +342,5 @@ mod tests {
         let notes = parsed.get("notes").unwrap().as_arr().unwrap();
         assert_eq!(notes.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failure_registry_drains_sorted() {
-        // The registry is process-wide; drain whatever other tests left
-        // behind first so this test observes only its own records.
-        let _ = take_failures();
-        note_failure(FailureRecord {
-            stage: "job".into(),
-            job: Some("b/lru".into()),
-            index: Some(7),
-            attempts: 1,
-            message: "boom".into(),
-        });
-        note_failure(FailureRecord {
-            stage: "job".into(),
-            job: Some("a/lru".into()),
-            index: Some(2),
-            attempts: 1,
-            message: "boom".into(),
-        });
-        // Other tests in this binary may note failures concurrently, so
-        // assert only on the records this test created: both present,
-        // in (stage, index) order.
-        let ours: Vec<FailureRecord> =
-            take_failures().into_iter().filter(|f| f.message == "boom").collect();
-        assert_eq!(ours.len(), 2);
-        assert_eq!(ours[0].index, Some(2), "sorted by index within a stage");
-        assert_eq!(ours[1].index, Some(7));
     }
 }

@@ -4,8 +4,8 @@
 //! simulation result, and with injection disabled the machinery must be
 //! invisible.
 //!
-//! Every runner here gets an explicit `with_fault_plan(...)` so the
-//! tests are immune to any process-wide plan.
+//! Each runner keeps its own failure and degradation log, so every
+//! test checks exactly what its runner recorded.
 
 use nucache_common::fault::{FaultPlan, FaultSite};
 use nucache_sim::telemetry::stream_path;
@@ -57,15 +57,15 @@ fn quiet_injected_panics() {
 #[test]
 fn disabled_injection_and_policy_are_invisible() {
     let jobs = job_list(4);
-    let base = Runner::new(config()).with_jobs(2).with_fault_plan(None).run_jobs(&jobs);
+    let base = Runner::new().with_jobs(2).run_jobs(&config(), &jobs);
     // A different worker count, an aggressive retry budget and a live
     // watchdog must all be pure observation.
-    let hardened = Runner::new(config())
+    let hardened = Runner::new()
         .with_jobs(3)
-        .with_fault_plan(None)
-        .with_policy(JobPolicy { max_retries: 3, watchdog_secs: Some(3_600) })
-        .run_jobs(&jobs);
-    assert_eq!(format!("{base:?}"), format!("{hardened:?}"));
+        .with_policy(JobPolicy { max_retries: 3, watchdog_secs: Some(3_600) });
+    assert_eq!(format!("{base:?}"), format!("{:?}", hardened.run_jobs(&config(), &jobs)));
+    assert!(hardened.failures().is_empty());
+    assert!(hardened.degradations().is_empty());
 }
 
 #[test]
@@ -84,12 +84,12 @@ fn injected_worker_panics_isolate_jobs_deterministically() {
     let expected_failures: Vec<u64> =
         (0..8).filter(|&i| plan.should_fault(FaultSite::WorkerPanic, i)).collect();
 
-    let runner = Runner::new(config())
+    let runner = Runner::new()
         .with_jobs(3)
         .with_policy(JobPolicy { max_retries: 1, watchdog_secs: None })
         .with_fault_plan(Some(plan));
-    let results = runner.try_run_jobs(&jobs);
-    let clean = Runner::new(config()).with_jobs(2).with_fault_plan(None).run_jobs(&jobs);
+    let results = runner.try_run_jobs(&config(), &jobs);
+    let clean = Runner::new().with_jobs(2).run_jobs(&config(), &jobs);
 
     assert_eq!(results.len(), jobs.len());
     for (i, result) in results.iter().enumerate() {
@@ -105,24 +105,26 @@ fn injected_worker_panics_isolate_jobs_deterministically() {
         }
     }
 
-    // Failures land in the manifest registry, tagged per job.
+    // Failures land in the runner's log, tagged per job, in job order.
     let marker = format!("plan seed {}", plan.seed());
-    let recorded: Vec<_> = nucache_sim::take_failures()
-        .into_iter()
-        .filter(|f| f.stage == "job" && f.message.contains(&marker))
-        .collect();
+    let recorded = runner.failures();
     assert_eq!(recorded.len(), expected_failures.len());
-    for f in &recorded {
-        assert!(f.job.is_some(), "job failures carry mix/scheme names");
+    let failed = jobs.iter().enumerate().filter(|&(i, _)| expected_failures.contains(&(i as u64)));
+    for (f, (i, (mix, scheme))) in recorded.iter().zip(failed) {
+        assert_eq!(f.stage, "job");
+        assert_eq!(f.index, Some(i as u64));
+        assert_eq!(f.job, Some(format!("{}/{}", mix.name(), scheme.name())));
         assert_eq!(f.attempts, 2);
+        assert!(f.message.contains(&marker), "{}", f.message);
     }
+    assert!(runner.degradations().is_empty(), "{:?}", runner.degradations());
 
     // Same plan, fresh runner: bit-identical outcomes.
-    let again = Runner::new(config())
+    let again = Runner::new()
         .with_jobs(5)
         .with_policy(JobPolicy { max_retries: 1, watchdog_secs: None })
         .with_fault_plan(Some(plan))
-        .try_run_jobs(&jobs);
+        .try_run_jobs(&config(), &jobs);
     assert_eq!(format!("{results:?}"), format!("{again:?}"));
 }
 
@@ -148,19 +150,16 @@ fn injected_telemetry_faults_degrade_without_changing_results() {
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let spec = TelemetrySpec { dir: dir.clone(), snapshot_interval: 2_000 };
 
-    let runner = Runner::new(config())
+    let runner = Runner::new()
         .with_jobs(2)
         .with_policy(quiet_policy())
         .with_fault_plan(Some(plan))
         .with_telemetry(Some(spec));
-    let results = runner.try_run_jobs(&jobs);
+    let results = runner.try_run_jobs(&config(), &jobs);
 
     // Telemetry faults never fail a job or change its result.
-    let clean = Runner::new(config())
-        .with_jobs(2)
-        .with_fault_plan(None)
-        .with_telemetry(None)
-        .run_jobs(&jobs);
+    let clean = Runner::new().with_jobs(2).run_jobs(&config(), &jobs);
+    assert!(runner.failures().is_empty(), "{:?}", runner.failures());
     for (i, result) in results.iter().enumerate() {
         assert_eq!(result.as_ref().ok(), Some(&clean[i]), "job {i} perturbed by telemetry fault");
     }
@@ -179,20 +178,24 @@ fn injected_telemetry_faults_degrade_without_changing_results() {
         }
     }
 
-    // Each degraded stream left a note for the manifest.
-    let notes: Vec<String> = nucache_sim::take_degradations()
-        .into_iter()
-        .filter(|n| n.contains("telemetry stream") || n.contains("injected fault"))
-        .collect();
-    let degraded = (0..4)
-        .filter(|&i| {
-            plan.should_fault(FaultSite::TelemetryCreate, i)
-                || plan.should_fault(FaultSite::TelemetryWrite, i)
+    // Each degraded stream left exactly one note for the manifest,
+    // naming its stream and the injected fault.
+    let notes = runner.degradations();
+    let degraded: Vec<_> = jobs
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| {
+            plan.should_fault(FaultSite::TelemetryCreate, i as u64)
+                || plan.should_fault(FaultSite::TelemetryWrite, i as u64)
         })
-        .count();
-    assert!(
-        notes.len() >= degraded,
-        "expected at least {degraded} degradation notes, got {notes:?}"
-    );
+        .map(|(i, (mix, scheme))| stream_path(&dir, i, mix.name(), &scheme.name()))
+        .collect();
+    assert_eq!(notes.len(), degraded.len(), "one note per degraded stream: {notes:?}");
+    for path in &degraded {
+        let name = path.display().to_string();
+        let n = notes.iter().filter(|n| n.contains(&name)).count();
+        assert_eq!(n, 1, "one note names {name}: {notes:?}");
+    }
+    assert!(notes.iter().all(|n| n.contains("injected fault")), "{notes:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,14 +5,15 @@
 //! 1. the solo-cache memoization protocol (outer map lock handing out
 //!    per-key cells, compute-once inside the cell) including recovery
 //!    from a panic while the map lock is held,
-//! 2. the `note_degradation` warn-once registry (`Once` + note vector),
+//! 2. the degradation log's warn-once logic (`Runner::note_degradation`:
+//!    a per-runner `Once` latch plus the note vector),
 //! 3. the `try_parallel_map` collection protocol (atomic cursor,
 //!    per-slot mutexes, completion counter).
 //!
-//! The models mirror the shapes in `crates/sim/src/runner.rs` and
-//! `telemetry.rs` but swap `std::sync` for the interleave shims, so
-//! every assertion holds on *every* schedule the bound admits, not
-//! just the ones the OS happens to produce.
+//! The models mirror the shapes in `crates/sim/src/runner.rs` but swap
+//! `std::sync` for the interleave shims, so every assertion holds on
+//! *every* schedule the bound admits, not just the ones the OS happens
+//! to produce.
 
 use nucache_common::interleave::{
     spawn, AtomicUsize, Explorer, Mutex, Once, DEFAULT_PREEMPTION_BOUND,
@@ -89,7 +90,7 @@ fn solo_cache_recovers_from_a_panic_under_the_map_lock() {
 }
 
 #[test]
-fn warn_once_registry_warns_exactly_once_and_drops_no_note() {
+fn degradation_log_warns_exactly_once_and_drops_no_note() {
     let stats = Explorer::with_bound(DEFAULT_PREEMPTION_BOUND).explore(|| {
         let warned = Arc::new(AtomicUsize::new(0));
         let notes = Arc::new(Mutex::new(Vec::new()));
@@ -99,8 +100,9 @@ fn warn_once_registry_warns_exactly_once_and_drops_no_note() {
                 let (warned, notes, once) =
                     (Arc::clone(&warned), Arc::clone(&notes), Arc::clone(&once));
                 spawn(move || {
-                    // The shape of telemetry::note_degradation: first
-                    // note warns, every note lands in the registry.
+                    // The shape of Runner::note_degradation: the
+                    // runner's first note warns, every note lands in
+                    // its log.
                     once.call_once(|| {
                         warned.fetch_add(1, Ordering::SeqCst);
                     });

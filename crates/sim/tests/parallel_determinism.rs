@@ -18,8 +18,8 @@ fn grid_identical_at_one_and_eight_jobs() {
     let schemes = [Scheme::Lru, Scheme::Ucp, Scheme::nucache_default()];
     let mixes = demo_mixes();
 
-    let serial = Runner::new(config).with_jobs(1).evaluate_grid(&mixes, &schemes);
-    let parallel = Runner::new(config).with_jobs(8).evaluate_grid(&mixes, &schemes);
+    let serial = Runner::new().with_jobs(1).evaluate_grid(&config, &mixes, &schemes);
+    let parallel = Runner::new().with_jobs(8).evaluate_grid(&config, &mixes, &schemes);
 
     assert_eq!(serial.len(), parallel.len());
     for (i, (row_s, row_p)) in serial.iter().zip(&parallel).enumerate() {
@@ -46,7 +46,7 @@ fn run_jobs_preserves_submission_order() {
         .iter()
         .flat_map(|m| [(m.clone(), Scheme::Lru), (m.clone(), Scheme::nucache_default())])
         .collect();
-    let results = Runner::new(config).with_jobs(8).run_jobs(&jobs);
+    let results = Runner::new().with_jobs(8).run_jobs(&config, &jobs);
     assert_eq!(results.len(), jobs.len());
     for ((mix, scheme), result) in jobs.iter().zip(&results) {
         assert_eq!(result.mix, mix.name(), "result out of order");
@@ -60,8 +60,8 @@ fn run_jobs_preserves_submission_order() {
 #[test]
 fn solo_results_match_direct_runs() {
     let config = SimConfig::demo();
-    let runner = Runner::new(config).with_jobs(4);
+    let runner = Runner::new().with_jobs(4);
     for w in [SpecWorkload::HmmerLike, SpecWorkload::McfLike] {
-        assert_eq!(runner.solo(w), nucache_sim::run_solo(&config, w));
+        assert_eq!(runner.solo(&config, w), nucache_sim::run_solo(&config, w));
     }
 }

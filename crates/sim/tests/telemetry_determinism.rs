@@ -4,7 +4,7 @@
 
 use nucache_common::json;
 use nucache_common::telemetry::{CounterSink, Event, JsonlSink};
-use nucache_sim::{run_mix, run_mix_telemetry, Scheme, SimConfig};
+use nucache_sim::{run_mix, run_mix_telemetry, Runner, Scheme, SimConfig, TelemetrySpec};
 use nucache_trace::{Mix, SpecWorkload};
 
 fn mix() -> Mix {
@@ -84,4 +84,39 @@ fn jsonl_stream_round_trips_through_parser() {
     // The decoded events must re-encode to the identical stream.
     let rewritten: String = events.iter().map(|e| e.to_json().to_string_compact() + "\n").collect();
     assert_eq!(rewritten, text);
+}
+
+#[test]
+fn one_runner_keeps_a_stream_for_every_job_across_configurations() {
+    // The fig9 shape: the same mixes and schemes under two LLC sizes on
+    // one runner. Every job draws its own index, so no stream overwrites
+    // another.
+    let dir = std::env::temp_dir()
+        .join("nucache_telemetry_streams_test")
+        .join(format!("run_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let runner = Runner::new()
+        .with_jobs(2)
+        .with_telemetry(Some(TelemetrySpec { dir: dir.clone(), snapshot_interval: INTERVAL }));
+    let small = SimConfig::demo().with_run_lengths(1_000, 4_000);
+    let large = small.with_llc(nucache_cache::CacheGeometry::new(128 * 1024, 16, 64));
+    let mixes = [mix(), Mix::new("other", vec![SpecWorkload::McfLike, SpecWorkload::GobmkLike])];
+    let schemes = [Scheme::Lru, nucache_short_epoch()];
+    for config in [small, large] {
+        runner.evaluate_grid(&config, &mixes, &schemes);
+    }
+
+    let mut streams: Vec<String> = std::fs::read_dir(&dir)
+        .expect("telemetry dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+        .filter(|n| n.ends_with(".jsonl"))
+        .collect();
+    streams.sort();
+    assert_eq!(streams.len(), 2 * mixes.len() * schemes.len(), "one stream per job: {streams:?}");
+    for (i, name) in streams.iter().enumerate() {
+        assert!(name.starts_with(&format!("{i:03}_")), "stream {i} is {name}");
+    }
+    assert!(runner.degradations().is_empty(), "{:?}", runner.degradations());
+    let _ = std::fs::remove_dir_all(&dir);
 }

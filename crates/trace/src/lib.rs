@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod gen;
-pub mod io;
 pub mod mix;
 pub mod spec;
 pub mod stats;

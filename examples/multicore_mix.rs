@@ -4,14 +4,13 @@
 //! Run with: `cargo run --release --example multicore_mix`
 
 use nucache_repro::common::table::{f3, Table};
-use nucache_repro::sim::{Evaluator, Scheme, SimConfig};
+use nucache_repro::sim::{Runner, Scheme, SimConfig};
 use nucache_repro::trace::{Mix, SpecWorkload};
 
 fn main() {
     // Shorter runs than the paper-scale experiments so the example
     // finishes in seconds.
     let config = SimConfig::baseline(4).with_run_lengths(100_000, 300_000);
-    let mut eval = Evaluator::new(config);
     let mix = Mix::new(
         "example",
         vec![
@@ -24,12 +23,10 @@ fn main() {
     println!("mix: {mix}\n");
 
     let mut t = Table::new(["scheme", "weighted_speedup", "antt", "throughput", "fairness"]);
-    let mut lru_ws = None;
-    for scheme in Scheme::headline_suite() {
-        let (_, m) = eval.evaluate(&mix, &scheme);
-        if scheme.name() == "lru" {
-            lru_ws = Some(m.weighted_speedup);
-        }
+    // One grid evaluates every scheme in parallel, sharing the solo runs.
+    let schemes = Scheme::headline_suite();
+    let grid = Runner::new().evaluate_grid(&config, std::slice::from_ref(&mix), &schemes);
+    for (scheme, (_, m)) in schemes.iter().zip(&grid[0]) {
         t.row([
             scheme.name(),
             f3(m.weighted_speedup),
@@ -39,11 +36,11 @@ fn main() {
         ]);
     }
     print!("{}", t.to_text());
-    if let Some(base) = lru_ws {
-        let (_, nuc) = eval.evaluate(&mix, &Scheme::nucache_default());
+    // The headline suite starts with LRU and ends with default NUcache.
+    if let (Some((_, lru)), Some((_, nuc))) = (grid[0].first(), grid[0].last()) {
         println!(
             "\nNUcache improves weighted speedup over shared LRU by {:.1}%",
-            (nuc.weighted_speedup / base - 1.0) * 100.0
+            (nuc.weighted_speedup / lru.weighted_speedup - 1.0) * 100.0
         );
     }
 }

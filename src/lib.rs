@@ -15,13 +15,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use nucache_repro::sim::{Evaluator, Scheme, SimConfig};
+//! use nucache_repro::sim::{Runner, Scheme, SimConfig};
 //! use nucache_repro::trace::{Mix, SpecWorkload};
 //!
-//! let mut eval = Evaluator::new(SimConfig::demo());
+//! let runner = Runner::new();
 //! let mix = Mix::new("demo", vec![SpecWorkload::HmmerLike, SpecWorkload::GobmkLike]);
-//! let (_, lru) = eval.evaluate(&mix, &Scheme::Lru);
-//! let (_, nuc) = eval.evaluate(&mix, &Scheme::nucache_default());
+//! let schemes = [Scheme::Lru, Scheme::nucache_default()];
+//! let grid = runner.evaluate_grid(&SimConfig::demo(), &[mix], &schemes);
+//! let (lru, nuc) = (&grid[0][0].1, &grid[0][1].1);
 //! assert!(nuc.weighted_speedup > 0.0 && lru.weighted_speedup > 0.0);
 //! ```
 

@@ -1,11 +1,18 @@
 //! End-to-end integration tests: full simulations across every crate.
 
-use nucache_repro::sim::{run_mix, run_mix_nucache, Evaluator, Scheme, SimConfig};
+use nucache_repro::cpu::MultiProgramMetrics;
+use nucache_repro::sim::{run_mix, run_mix_nucache, Runner, Scheme, SimConfig};
 use nucache_repro::trace::{Mix, SpecWorkload};
 
 /// A small-but-real configuration: contention happens, runs stay fast.
 fn test_config(cores: usize) -> SimConfig {
     SimConfig::baseline(cores).with_run_lengths(50_000, 150_000)
+}
+
+/// Normalized metrics of `mix` under each of `schemes`, in order.
+fn evaluate(config: &SimConfig, mix: &Mix, schemes: &[Scheme]) -> Vec<MultiProgramMetrics> {
+    let grid = Runner::new().evaluate_grid(config, std::slice::from_ref(mix), schemes);
+    grid.into_iter().flatten().map(|(_, metrics)| metrics).collect()
 }
 
 #[test]
@@ -37,10 +44,9 @@ fn nucache_beats_lru_on_retention_sensitive_mix() {
     // co-running with an intense streamer. Shared LRU lets the stream
     // flush the loop; NUcache must recover most of it.
     let config = test_config(2);
-    let mut eval = Evaluator::new(config);
     let mix = Mix::new("flagship", vec![SpecWorkload::SphinxLike, SpecWorkload::LibquantumLike]);
-    let (_, lru) = eval.evaluate(&mix, &Scheme::Lru);
-    let (_, nuc) = eval.evaluate(&mix, &Scheme::nucache_default());
+    let metrics = evaluate(&config, &mix, &[Scheme::Lru, Scheme::nucache_default()]);
+    let (lru, nuc) = (&metrics[0], &metrics[1]);
     assert!(
         nuc.weighted_speedup > lru.weighted_speedup * 1.10,
         "NUcache {} vs LRU {}: expected >10% improvement",
@@ -54,10 +60,9 @@ fn nucache_never_collapses_on_friendly_mixes() {
     // Cache-friendly co-runners leave nothing for NUcache to improve; it
     // must not lose more than a sliver to its reserved DeliWays.
     let config = test_config(2);
-    let mut eval = Evaluator::new(config);
     let mix = Mix::new("friendly", vec![SpecWorkload::HmmerLike, SpecWorkload::GobmkLike]);
-    let (_, lru) = eval.evaluate(&mix, &Scheme::Lru);
-    let (_, nuc) = eval.evaluate(&mix, &Scheme::nucache_default());
+    let metrics = evaluate(&config, &mix, &[Scheme::Lru, Scheme::nucache_default()]);
+    let (lru, nuc) = (&metrics[0], &metrics[1]);
     assert!(
         nuc.weighted_speedup > lru.weighted_speedup * 0.95,
         "NUcache {} vs LRU {}: must stay within 5%",
@@ -82,7 +87,6 @@ fn nucache_internals_are_active_in_a_real_mix() {
 #[test]
 fn weighted_speedup_bounded_by_core_count() {
     let config = test_config(4);
-    let mut eval = Evaluator::new(config);
     let mix = Mix::new(
         "bound",
         vec![
@@ -92,8 +96,8 @@ fn weighted_speedup_bounded_by_core_count() {
             SpecWorkload::GobmkLike,
         ],
     );
-    for scheme in Scheme::headline_suite() {
-        let (_, m) = eval.evaluate(&mix, &scheme);
+    let schemes = Scheme::headline_suite();
+    for (scheme, m) in schemes.iter().zip(evaluate(&config, &mix, &schemes)) {
         assert!(
             m.weighted_speedup <= 4.0 * 1.05,
             "{scheme}: ws {} exceeds core count",
@@ -106,10 +110,9 @@ fn weighted_speedup_bounded_by_core_count() {
 #[test]
 fn ucp_protects_the_reuser_better_than_lru() {
     let config = test_config(2);
-    let mut eval = Evaluator::new(config);
     let mix = Mix::new("ucp_it", vec![SpecWorkload::SoplexLike, SpecWorkload::LbmLike]);
-    let (_, lru) = eval.evaluate(&mix, &Scheme::Lru);
-    let (_, ucp) = eval.evaluate(&mix, &Scheme::Ucp);
+    let metrics = evaluate(&config, &mix, &[Scheme::Lru, Scheme::Ucp]);
+    let (lru, ucp) = (&metrics[0], &metrics[1]);
     assert!(
         ucp.per_core_speedup[0] >= lru.per_core_speedup[0] * 0.98,
         "UCP must not hurt the reuser: {} vs {}",
@@ -131,10 +134,10 @@ fn eight_core_mix_runs_under_every_scheme() {
 
 #[test]
 fn solo_ipc_independent_of_co_runner_seeding() {
-    // The evaluator's cached solo runs must match a direct solo run.
+    // The runner's memoized solo runs must match a direct solo run.
     let config = test_config(2);
-    let mut eval = Evaluator::new(config);
+    let runner = Runner::new();
     let direct = nucache_repro::sim::run_solo(&config, SpecWorkload::AstarLike);
-    let cached = eval.solo(SpecWorkload::AstarLike);
+    let cached = runner.solo(&config, SpecWorkload::AstarLike);
     assert_eq!(cached.ipc, direct.ipc);
 }

@@ -202,10 +202,10 @@ fn runner_output_is_identical_at_any_job_count() {
         .map(|s| (Mix::new("det", vec![SpecWorkload::HmmerLike, SpecWorkload::McfLike]), s))
         .collect();
 
-    let serial = Runner::new(config).with_jobs(1).run_jobs(&jobs);
+    let serial = Runner::new().with_jobs(1).run_jobs(&config, &jobs);
     let reference = format!("{serial:?}");
     for workers in [2, 4, 7] {
-        let parallel = Runner::new(config).with_jobs(workers).run_jobs(&jobs);
+        let parallel = Runner::new().with_jobs(workers).run_jobs(&config, &jobs);
         assert_eq!(
             reference,
             format!("{parallel:?}"),
@@ -278,8 +278,8 @@ proptest! {
             .with_run_lengths(1_000, 5_000);
         let mix = Mix::new("rand", vec![SpecWorkload::GobmkLike; cores]);
         let jobs = vec![(mix.clone(), Scheme::Lru), (mix, Scheme::nucache_default())];
-        let serial = Runner::new(config).with_jobs(1).run_jobs(&jobs);
-        let parallel = Runner::new(config).with_jobs(workers).run_jobs(&jobs);
+        let serial = Runner::new().with_jobs(1).run_jobs(&config, &jobs);
+        let parallel = Runner::new().with_jobs(workers).run_jobs(&config, &jobs);
         prop_assert_eq!(format!("{:?}", serial), format!("{:?}", parallel));
     }
 }
