@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Relative location of the dead-pub baseline inside the workspace.
-const BASELINE_REL: &str = "crates/audit/pub_baseline.txt";
+const BASELINE_REL: &str = dead_pub::PUB_BASELINE;
 
 /// Relative location of the hot-path justification ledger.
 const HOTPATH_REL: &str = "crates/audit/hotpath.txt";

@@ -29,8 +29,11 @@
 //! ```
 //!
 //! keyed on stable identity, not line numbers, so entries survive
-//! unrelated edits. `--update-baseline` rewrites the file from the
-//! current findings.
+//! unrelated edits. An entry that no current finding needs (the item
+//! was deleted, renamed or gained an outside user) is stale and is
+//! itself an error, as in `hotpath.txt` and `concurrency.txt`, so the
+//! baseline never outlives the surface it excused. `--update-baseline`
+//! rewrites the file from the current findings.
 
 use crate::diag::{Diagnostic, Severity};
 use crate::resolve::Workspace;
@@ -39,6 +42,9 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 const LINT: &str = "dead-cross-crate-pub";
+
+/// Relative location of the baseline inside the workspace.
+pub const PUB_BASELINE: &str = "crates/audit/pub_baseline.txt";
 
 /// Crates whose pub surface is intentionally self-contained.
 const EXEMPT_CRATES: &[&str] = &["nucache-audit"];
@@ -143,11 +149,24 @@ pub fn current_entries(ws: &Workspace) -> BTreeSet<(String, String, usize)> {
     out
 }
 
-/// Runs the lint, appending findings (entries not in `baseline`) to
-/// `out`.
+/// Runs the lint, appending findings (entries not in `baseline`, and
+/// baseline entries no finding needs) to `out`.
 pub fn lint(ws: &Workspace, baseline: &Baseline, out: &mut Vec<Diagnostic>) {
-    for (key, file, line) in current_entries(ws) {
+    check(current_entries(ws), baseline, out);
+}
+
+/// The lint over computed entries: each `(key, file, line)` missing from
+/// `baseline` is a finding, and so is each baseline entry that matches
+/// none of them.
+fn check(
+    current: BTreeSet<(String, String, usize)>,
+    baseline: &Baseline,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mut needed = BTreeSet::new();
+    for (key, file, line) in current {
         if baseline.entries.contains(&key) {
+            needed.insert(key);
             continue;
         }
         out.push(Diagnostic {
@@ -157,6 +176,18 @@ pub fn lint(ws: &Workspace, baseline: &Baseline, out: &mut Vec<Diagnostic>) {
             message: format!(
                 "pub item with no reference outside its crate: {key} — remove the pub, \
                  reference it, or add it to crates/audit/pub_baseline.txt with a comment"
+            ),
+            severity: Severity::Error,
+        });
+    }
+    for entry in baseline.entries.difference(&needed) {
+        out.push(Diagnostic {
+            file: PUB_BASELINE.to_string(),
+            line: 0,
+            lint: LINT,
+            message: format!(
+                "stale baseline entry `{entry}` — no current finding requires it; \
+                 remove it from {PUB_BASELINE}"
             ),
             severity: Severity::Error,
         });
@@ -177,6 +208,21 @@ mod tests {
         let rendered = Baseline::render(&b.entries);
         let reparsed = Baseline::parse(&rendered);
         assert_eq!(b.entries, reparsed.entries);
+    }
+
+    #[test]
+    fn stale_entries_are_findings() {
+        let at = |key: &str, line| (key.to_string(), "crates/a/src/lib.rs".to_string(), line);
+        let current = [at("nucache-a fn kept", 3), at("nucache-a fn new", 9)].into_iter().collect();
+        let mut out = Vec::new();
+        check(current, &Baseline::parse("nucache-a fn kept\nnucache-a fn gone\n"), &mut out);
+        let found: Vec<(&str, usize, &str)> =
+            out.iter().map(|d| (d.file.as_str(), d.line, d.message.as_str())).collect();
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].1 == 9 && found[0].2.contains("nucache-a fn new"), "{found:?}");
+        assert_eq!(found[1].0, PUB_BASELINE);
+        assert!(found[1].2.contains("stale baseline entry `nucache-a fn gone`"), "{found:?}");
+        assert!(out.iter().all(|d| d.severity == Severity::Error && d.lint == LINT));
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! Drives the concurrent sharded NUcache front-end and/or the
 //! lock-striped LRU baseline at a sweep of thread counts, reporting
-//! ops/sec and latency quantiles per point, and writes the
-//! `BENCH_<n>.json` `threaded` section (see [`nucache_bench::loadgen`]
-//! for the methodology — on a single-CPU host, scaling comes from
-//! overlapping the simulated backend latency on misses).
+//! ops/sec, latency quantiles and fault counters per point (see
+//! [`nucache_bench::loadgen`] for the methodology — on a single-CPU
+//! host, scaling comes from overlapping the simulated backend latency
+//! on misses). CI runs it with `--inject-faults` as the concurrency
+//! smoke; the front-end's CPU-bound timings come from perfbench's
+//! `serve_rw` workload instead, since these sleep-bound numbers move
+//! with host scheduling.
 //!
 //! Usage:
 //!
@@ -15,9 +18,9 @@
 //!         [--inject-faults SEED] [--out PATH]
 //! ```
 //!
-//! `--out` writes a JSON object (`{"threaded": {...}}`-shaped payload
-//! without the wrapper — the `summary` binary embeds it with
-//! `--threaded PATH`); otherwise it prints to stdout.
+//! `--out` writes the JSON report (the run parameters plus one entry
+//! per cache and thread count) to a file; otherwise it prints to
+//! stdout.
 
 use nucache_bench::loadgen::{run_nucache, run_striped_lru, LoadgenConfig, LoadgenReport};
 use nucache_common::fault::FaultPlan;

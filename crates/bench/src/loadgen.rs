@@ -27,6 +27,11 @@
 //! inside the shard lock when the request hits — poisoning the shard
 //! and exercising the front-end's `PoisonError::into_inner` recovery
 //! while the generator abandons only that batch.
+//!
+//! The `loadgen` binary drives this module; CI runs it with injected
+//! faults as its concurrency smoke. Its sleep-bound throughput is not a
+//! performance record: perfbench's `serve_rw` workload times the same
+//! front-end CPU-bound, at the geometry of [`LoadgenConfig::new`].
 
 use nucache_common::fault::{FaultPlan, FaultSite};
 use nucache_common::histogram::Log2Histogram;
@@ -130,7 +135,7 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// The report as a `BENCH_<n>.json` `threaded` run entry.
+    /// The report as one JSON run entry of the `loadgen` binary's output.
     pub fn to_json(&self) -> JsonValue {
         let quant = |q: Option<u64>| q.map_or(JsonValue::Null, |v| JsonValue::Num(v as f64));
         JsonValue::obj(vec![

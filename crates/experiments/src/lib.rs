@@ -30,11 +30,12 @@ pub mod figs;
 pub mod report;
 pub mod tables;
 
-use nucache_common::json::JsonValue;
+use nucache_common::json::{self, JsonValue};
 use nucache_common::table::Table;
 use nucache_sim::args::Args;
 use nucache_sim::telemetry::{git_revision, Manifest};
 use nucache_sim::{panic_message, FailureRecord, FaultPlan, Runner, TelemetrySpec};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -72,17 +73,29 @@ pub fn run_lengths() -> (u64, u64) {
     ((BASELINE_WARMUP_ACCESSES / div).max(1), (BASELINE_MEASURE_ACCESSES / div).max(1))
 }
 
-/// Writes `failures.json` into [`out_dir`] when there are failures (and
-/// removes a stale one when there are none), so a failed run leaves a
-/// machine-readable account next to its partial CSVs even without
-/// telemetry enabled.
-fn write_failures_json(failures: &[FailureRecord]) {
+/// Records experiment `name`'s failures in `failures.json` in
+/// [`out_dir`], so a failed run leaves a machine-readable account next
+/// to its partial CSVs even without telemetry enabled. The file keeps
+/// one entry per experiment and a run replaces only its own: a clean
+/// run drops its entry, leaves the others alone and removes the file
+/// once it is empty.
+fn write_failures_json(name: &str, failures: &[FailureRecord]) {
     let path = out_dir().join("failures.json");
-    if failures.is_empty() {
+    // A missing file, or one that is not an object of entries, counts as empty.
+    let mut entries = match std::fs::read_to_string(&path).map(|text| json::parse(&text)) {
+        Ok(Ok(JsonValue::Obj(pairs))) => pairs.into_iter().collect(),
+        _ => BTreeMap::new(),
+    };
+    entries.remove(name);
+    if !failures.is_empty() {
+        let records = failures.iter().map(FailureRecord::to_json).collect();
+        entries.insert(name.to_string(), JsonValue::Arr(records));
+    }
+    if entries.is_empty() {
         let _ = std::fs::remove_file(&path);
         return;
     }
-    let json = JsonValue::Arr(failures.iter().map(FailureRecord::to_json).collect());
+    let json = JsonValue::Obj(entries.into_iter().collect());
     let write = || -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
@@ -209,7 +222,7 @@ pub fn finish_run(
         });
     }
     let failures = runner.failures();
-    write_failures_json(&failures);
+    write_failures_json(name, &failures);
     let n_failures = failures.len();
     if let Some(spec) = runner.telemetry() {
         let manifest = Manifest {

@@ -19,9 +19,11 @@ ties count for neither side), and the metric's verdict under the rules
 a claimed change is checked against (see `verdict`: gain, unresolved,
 worse than bound, or ok). It then prints, per seed, whether `hit_rate`
 is equal on both sides, and each run's `failed` count. The exit code is
-non-zero when any run exits non-zero, reports `correct: false` or
-counts a failed operation. The script changes neither BENCHMARK.json
-nor perfbench/.
+non-zero when any end-to-end metric's verdict is "worse than bound",
+or when any run exits non-zero, reports `correct: false` or counts a
+failed operation (see `exit_code`); "unresolved" passes. CI runs it
+this way as its benchmark gate, against the base of the commit under
+test. The script changes neither BENCHMARK.json nor perfbench/.
 
 The rules have doctests: `python3 -m doctest scripts/ab.py`.
 """
@@ -115,11 +117,30 @@ def verdict(base, change, higher, bound):
     return "ok"
 
 
+def exit_code(verdicts, checks_passed):
+    """The exit code: 1 when a metric is "worse than bound" or a run
+    failed its checks, else 0. "unresolved" passes, since runs that
+    spread too widely to tell are no evidence of a regression.
+
+    >>> exit_code(["ok", "gain", "unresolved", "ok", "ok", "ok"], True)
+    0
+    >>> exit_code(["ok", "gain", "worse than bound", "ok", "ok", "ok"], True)
+    1
+    >>> exit_code(["unresolved"] * 6, True)
+    0
+    >>> exit_code(["gain"] * 6, False)
+    1
+    """
+    return 0 if checks_passed and "worse than bound" not in verdicts else 1
+
+
 def report(spec, runs):
-    """Prints the comparison; returns True when every run passed its checks."""
+    """Prints the comparison; returns each end-to-end metric's verdict and
+    whether every run passed its checks."""
     pairs = len(runs)
     print(f"\n{pairs} pairs; median [q1, q3] per side; ratio = change median / base median")
     print(f"{'metric':<16} {'base':>34} {'change':>34} {'ratio':>7} {'won':>6}  bound verdict")
+    verdicts = []
     for m in spec["end_to_end"]:
         name, higher = m["name"], m["better"] == "higher"
         base = [r["base"]["metrics"][name]["value"] for r in runs]
@@ -127,9 +148,10 @@ def report(spec, runs):
         bq, cq = quartiles(base), quartiles(change)
         won = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         ratio = cq[1] / bq[1] if bq[1] else float("nan")
+        verdicts.append(verdict(base, change, higher, m["bound"]))
         print(f"{name:<16} {bq[1]:>12.6g} [{bq[0]:.6g}, {bq[2]:.6g}] "
               f"{cq[1]:>12.6g} [{cq[0]:.6g}, {cq[2]:.6g}] {ratio:>7.3f} {won:>3}/{pairs}  "
-              f"{m['bound']} {verdict(base, change, higher, m['bound'])}")
+              f"{m['bound']} {verdicts[-1]}")
     print("\nper seed: hit_rate base / change, failed base / change")
     ok = True
     for r in runs:
@@ -139,7 +161,7 @@ def report(spec, runs):
         same = "equal" if hb == hc else f"differ by {hc - hb:+.3g}"
         print(f"  seed {r['seed']}: hit_rate {hb} / {hc} ({same}); failed {fb} / {fc}")
         ok = ok and fb == 0 and fc == 0
-    return ok
+    return verdicts, ok
 
 
 def main():
@@ -190,8 +212,10 @@ def main():
                 all_ok = all_ok and passed
                 pair[side] = result
             runs.append(pair)
-        all_ok = report(spec, runs) and all_ok
-    sys.exit(0 if all_ok else 1)
+        verdicts, checks_ok = report(spec, runs)
+    code = exit_code(verdicts, checks_ok and all_ok)
+    print(f"\n{args.workload}: {'FAIL' if code else 'pass'}")
+    sys.exit(code)
 
 
 if __name__ == "__main__":
