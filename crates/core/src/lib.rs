@@ -51,15 +51,16 @@
 //! # Crate layout
 //!
 //! The mechanism itself lives in the embeddable [`nucache_kernel`]
-//! crate (`no_std + alloc` capable, generic over the insertion class);
-//! this crate instantiates it for the simulator — class =
-//! [`Pc`](nucache_common::Pc), key = raw
+//! crate (`no_std + alloc` capable, generic over the insertion class):
+//! the delinquency tracker, the Next-Use monitor, the selector and the
+//! MainWays/DeliWays arrays. This crate instantiates it for the
+//! simulator — class = [`Pc`](nucache_common::Pc), key = raw
 //! [`LineAddr`](nucache_common::LineAddr) — and keeps the
 //! simulator-specific surface:
 //!
-//! * [`NuCacheConfig`] — all knobs with paper-faithful defaults,
-//!   lowered to a [`nucache_kernel::KernelConfig`] via
-//!   [`NuCacheConfig::to_kernel`];
+//! * [`KernelConfig`] and [`SelectionStrategy`], re-exported from the
+//!   kernel with its paper-faithful defaults, configure a [`NuCache`];
+//!   the cache geometry supplies the kernel's `sets` and `ways`;
 //! * [`NuCache`] — the thin adapter implementing
 //!   [`nucache_cache::SharedLlc`] over
 //!   [`nucache_kernel::NucacheKernel`]: per-core stats, write-back
@@ -70,11 +71,11 @@
 //!
 //! ```
 //! use nucache_cache::{CacheGeometry, SharedLlc};
-//! use nucache_core::{NuCache, NuCacheConfig};
+//! use nucache_core::{KernelConfig, NuCache};
 //! use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 //!
 //! let geom = CacheGeometry::new(1024 * 1024, 16, 64);
-//! let mut llc = NuCache::new(geom, 2, NuCacheConfig::default());
+//! let mut llc = NuCache::new(geom, 2, KernelConfig::default());
 //! llc.access(CoreId::new(0), Pc::new(0x400), LineAddr::new(1), AccessKind::Read);
 //! assert_eq!(llc.stats().misses, 1);
 //! ```
@@ -82,9 +83,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod llc;
 pub mod overhead;
 
-pub use config::{NuCacheConfig, SelectionStrategy};
 pub use llc::NuCache;
+pub use nucache_kernel::{KernelConfig, SelectionStrategy, MAX_CANDIDATES};

@@ -17,13 +17,12 @@
 //! and the [`SharedLlc`] trait surface the driver's monomorphized hot
 //! loop dispatches on.
 
-use crate::config::NuCacheConfig;
 use nucache_cache::meta::{AccessOutcome, EvictedLine};
 use nucache_cache::{AuditStats, CacheGeometry, SharedLlc};
 use nucache_common::telemetry::{Event, PcSnapshot};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 use nucache_kernel::{
-    DelinquentTracker, Evicted, Lookup, NextUseMonitor, NucacheKernel, Selection,
+    DelinquentTracker, Evicted, KernelConfig, Lookup, NextUseMonitor, NucacheKernel, Selection,
 };
 
 /// Per-line simulator state stored as the kernel's value type.
@@ -45,9 +44,9 @@ struct LineInfo {
 ///
 /// ```
 /// use nucache_cache::{CacheGeometry, SharedLlc};
-/// use nucache_core::{NuCache, NuCacheConfig};
+/// use nucache_core::{KernelConfig, NuCache};
 /// let geom = CacheGeometry::new(512 * 1024, 16, 64);
-/// let llc = NuCache::new(geom, 2, NuCacheConfig::default().with_deli_ways(8));
+/// let llc = NuCache::new(geom, 2, KernelConfig::default().with_deli_ways(8));
 /// assert_eq!(llc.main_ways(), 8);
 /// assert_eq!(llc.deli_ways(), 8);
 /// ```
@@ -55,28 +54,28 @@ struct LineInfo {
 pub struct NuCache {
     kernel: NucacheKernel<LineInfo, Pc>,
     geom: CacheGeometry,
-    config: NuCacheConfig,
     stats: CacheStats,
     core_stats: Vec<CacheStats>,
 }
 
 impl NuCache {
-    /// Creates a NUcache LLC for `num_cores` cores.
+    /// Creates a NUcache LLC for `num_cores` cores. The kernel's `sets`
+    /// and `ways` are the geometry's; those fields of `config` are
+    /// ignored.
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero or the configuration is invalid for
-    /// the geometry (see [`NuCacheConfig::validate`]).
-    pub fn new(geom: CacheGeometry, num_cores: usize, config: NuCacheConfig) -> Self {
+    /// Panics if `num_cores` is zero or the kernel rejects the
+    /// configuration (see [`KernelConfig::validate`]).
+    pub fn new(geom: CacheGeometry, num_cores: usize, config: KernelConfig) -> Self {
         assert!(num_cores > 0, "need at least one core");
-        config.validate(geom.associativity());
-        let kc = config.to_kernel(geom.num_sets(), geom.associativity());
+        let config = config.with_sets(geom.num_sets()).with_ways(geom.associativity());
+        let kernel = NucacheKernel::init(config)
+            .unwrap_or_else(|e| panic!("invalid NUcache configuration: {e}"));
         #[allow(unused_mut)] // mut only needed under debug_invariants
-        #[expect(clippy::expect_used, reason = "validate() above checks every kernel rule")]
         let mut llc = NuCache {
-            kernel: NucacheKernel::init(kc).expect("NuCacheConfig::validate covers kernel rules"),
+            kernel,
             geom,
-            config,
             stats: CacheStats::default(),
             core_stats: vec![CacheStats::default(); num_cores],
         };
@@ -125,11 +124,6 @@ impl NuCache {
         self.kernel.deli_ways()
     }
 
-    /// The active configuration.
-    pub const fn config(&self) -> &NuCacheConfig {
-        &self.config
-    }
-
     /// PCs currently admitted to the DeliWays.
     pub fn chosen_pcs(&self) -> Vec<Pc> {
         self.kernel.chosen_classes()
@@ -165,15 +159,8 @@ impl NuCache {
         self.kernel.monitor()
     }
 
-    /// Current combined fill counts (demand misses + DeliWays insertions)
-    /// per PC, descending — the quantity candidate ranking and the
-    /// lifetime cost model use. Exposed for diagnostics and tests.
-    pub fn combined_fills(&self) -> Vec<(Pc, u64)> {
-        self.kernel.combined_fills()
-    }
-
-    /// Access denominator the selector pairs with
-    /// [`NuCache::combined_fills`] (global accesses in the decay window).
+    /// Access denominator the selector pairs with the PCs' combined fills
+    /// (global accesses in the decay window).
     pub fn selection_accesses(&self) -> u64 {
         self.kernel.selection_accesses()
     }
@@ -315,14 +302,14 @@ impl SharedLlc for NuCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SelectionStrategy;
+    use nucache_kernel::SelectionStrategy;
 
     fn geom(sets: u64, assoc: usize) -> CacheGeometry {
         CacheGeometry::new(64 * assoc as u64 * sets, assoc, 64)
     }
 
-    fn cfg(deli: usize) -> NuCacheConfig {
-        NuCacheConfig::default().with_deli_ways(deli).with_epoch_len(1000)
+    fn cfg(deli: usize) -> KernelConfig {
+        KernelConfig::default().with_deli_ways(deli).with_epoch_len(1000)
     }
 
     fn read(llc: &mut NuCache, pc: u64, line: u64) -> AccessOutcome {
@@ -330,10 +317,27 @@ mod tests {
     }
 
     /// Sampled monitoring on: shift 0 so every set is observed in tests.
-    fn test_config(deli: usize) -> NuCacheConfig {
+    fn test_config(deli: usize) -> KernelConfig {
         let mut c = cfg(deli);
         c.monitor_shift = 0;
         c
+    }
+
+    /// The geometry sets the kernel's shape, whatever `sets` and `ways`
+    /// the configuration carries.
+    #[test]
+    fn geometry_supplies_sets_and_ways() {
+        let config = test_config(2).with_sets(4).with_ways(64);
+        let llc = NuCache::new(geom(16, 4), 1, config);
+        assert_eq!((llc.kernel.config().sets, llc.kernel.config().ways), (16, 4));
+        assert_eq!((llc.main_ways(), llc.deli_ways()), (2, 2));
+        assert_eq!(llc.kernel.capacity(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one MainWay")]
+    fn all_deli_rejected() {
+        let _ = NuCache::new(geom(16, 4), 1, test_config(4));
     }
 
     #[test]

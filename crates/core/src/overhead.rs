@@ -5,8 +5,8 @@
 //! tags where the literature uses them. The absolute numbers are
 //! estimates; the comparison across schemes is what the table shows.
 
-use crate::config::NuCacheConfig;
 use nucache_cache::CacheGeometry;
+use nucache_kernel::{KernelConfig, HISTOGRAM_BUCKETS, MAX_CANDIDATES};
 
 /// Bits of a partial tag stored in sampled monitor structures.
 pub const PARTIAL_TAG_BITS: u64 = 16;
@@ -46,7 +46,7 @@ impl Overhead {
 /// NUcache: per-line PC-id (to test chosen-ness at MainWays eviction) and
 /// a FIFO stamp on DeliWays lines; sampled Next-Use buffers; per-PC
 /// histograms; the chosen-PC table.
-pub fn nucache_overhead(geom: &CacheGeometry, config: &NuCacheConfig) -> Overhead {
+pub fn nucache_overhead(geom: &CacheGeometry, config: &KernelConfig) -> Overhead {
     let lines = geom.num_lines() as u64;
     let per_line_bits =
         lines * PC_ID_BITS + (geom.num_sets() as u64) * (config.deli_ways as u64) * COUNTER_BITS;
@@ -54,9 +54,9 @@ pub fn nucache_overhead(geom: &CacheGeometry, config: &NuCacheConfig) -> Overhea
     let buffer_bits =
         sampled_sets * config.monitor_depth as u64 * (PARTIAL_TAG_BITS + PC_ID_BITS + COUNTER_BITS);
     let clock_bits = sampled_sets * COUNTER_BITS;
-    let hist_bits = config.max_candidates as u64 * config.histogram_buckets as u64 * COUNTER_BITS;
-    let tracker_bits = config.max_candidates as u64 * (PC_ID_BITS + 32 + COUNTER_BITS);
-    let control_bits = config.max_candidates as u64; // chosen bit-vector
+    let hist_bits = MAX_CANDIDATES as u64 * HISTOGRAM_BUCKETS as u64 * COUNTER_BITS;
+    let tracker_bits = MAX_CANDIDATES as u64 * (PC_ID_BITS + 32 + COUNTER_BITS);
+    let control_bits = MAX_CANDIDATES as u64; // chosen bit-vector
     Overhead {
         per_line_bits,
         monitor_bits: buffer_bits + clock_bits + hist_bits + tracker_bits,
@@ -115,7 +115,7 @@ mod tests {
     #[test]
     fn all_overheads_positive_and_small() {
         let g = geom();
-        let n = nucache_overhead(&g, &NuCacheConfig::default());
+        let n = nucache_overhead(&g, &KernelConfig::default());
         let u = ucp_overhead(&g, 4, 5);
         let p = pipp_overhead(&g, 4, 5);
         let t = tadip_overhead(&g, 4);
@@ -130,7 +130,7 @@ mod tests {
         let g = geom();
         let t = tadip_overhead(&g, 4).total_bits();
         assert!(t < ucp_overhead(&g, 4, 5).total_bits());
-        assert!(t < nucache_overhead(&g, &NuCacheConfig::default()).total_bits());
+        assert!(t < nucache_overhead(&g, &KernelConfig::default()).total_bits());
         assert!(t < pipp_overhead(&g, 4, 5).total_bits());
     }
 

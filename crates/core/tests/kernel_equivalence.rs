@@ -20,8 +20,7 @@
 
 use nucache_cache::{CacheGeometry, SharedLlc};
 use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
-use nucache_core::config::{NuCacheConfig, SelectionStrategy};
-use nucache_core::NuCache;
+use nucache_core::{KernelConfig, NuCache, SelectionStrategy};
 use proptest::prelude::*;
 
 mod legacy {
@@ -30,9 +29,9 @@ mod legacy {
     use nucache_cache::meta::{AccessOutcome, EvictedLine, LineMeta};
     use nucache_cache::{CacheGeometry, SetArray};
     use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
-    use nucache_core::config::NuCacheConfig;
     use nucache_kernel::{
-        build_candidates, select_classes, DelinquentTracker, NextUseMonitor, Selection,
+        build_candidates, select_classes, DelinquentTracker, KernelConfig, NextUseMonitor,
+        Selection, HISTOGRAM_BUCKETS, MAX_CANDIDATES, ORACLE_POOL,
     };
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -50,7 +49,7 @@ mod legacy {
         array: SetArray,
         main_ways: usize,
         deli_ways: usize,
-        config: NuCacheConfig,
+        config: KernelConfig,
         main_touch: Vec<u64>,
         deli_entry: Vec<u64>,
         stamp: u64,
@@ -68,8 +67,7 @@ mod legacy {
     }
 
     impl LegacyNuCache {
-        pub fn new(geom: CacheGeometry, config: NuCacheConfig) -> Self {
-            config.validate(geom.associativity());
+        pub fn new(geom: CacheGeometry, config: KernelConfig) -> Self {
             let main_ways = geom.associativity() - config.deli_ways;
             LegacyNuCache {
                 array: SetArray::new(geom),
@@ -79,9 +77,9 @@ mod legacy {
                     geom.set_bits(),
                     config.monitor_shift.min(geom.set_bits()),
                     config.monitor_depth,
-                    config.histogram_buckets,
+                    HISTOGRAM_BUCKETS,
                 ),
-                tracker: DelinquentTracker::new(256.max(config.max_candidates)),
+                tracker: DelinquentTracker::new(256),
                 deli_fills_by_pc: BTreeMap::new(),
                 chosen: BTreeSet::new(),
                 last_selection: Selection {
@@ -177,8 +175,8 @@ mod legacy {
         fn run_selection(&mut self) {
             self.epochs += 1;
             let pool = match self.config.strategy {
-                nucache_core::SelectionStrategy::Exhaustive => self.config.oracle_pool,
-                _ => self.config.max_candidates,
+                nucache_core::SelectionStrategy::Exhaustive => ORACLE_POOL,
+                _ => MAX_CANDIDATES,
             };
             let mut combined: BTreeMap<Pc, u64> = self.deli_fills_by_pc.clone();
             for (pc, misses) in self.tracker.top_k(self.tracker.len()) {
@@ -307,7 +305,7 @@ fn strategy_choice() -> impl Strategy<Value = SelectionStrategy> {
 
 /// Drives both implementations over the same stream and asserts
 /// per-access and cumulative equivalence.
-fn assert_equivalent(sets: u64, assoc: usize, config: NuCacheConfig, steps: &[Step]) {
+fn assert_equivalent(sets: u64, assoc: usize, config: KernelConfig, steps: &[Step]) {
     let geom = CacheGeometry::new(64 * assoc as u64 * sets, assoc, 64);
     let mut kernel_backed = NuCache::new(geom, 1, config);
     let mut oracle = legacy::LegacyNuCache::new(geom, config);
@@ -339,7 +337,7 @@ proptest! {
         strategy in strategy_choice(),
         epoch_len in 40u64..220,
     ) {
-        let mut config = NuCacheConfig::default()
+        let mut config = KernelConfig::default()
             .with_deli_ways(deli)
             .with_epoch_len(epoch_len)
             .with_strategy(strategy);
@@ -355,7 +353,7 @@ proptest! {
         refresh in any::<bool>(),
         epoch_len in 40u64..160,
     ) {
-        let mut config = NuCacheConfig::default()
+        let mut config = KernelConfig::default()
             .with_deli_ways(3)
             .with_epoch_len(epoch_len);
         config.promote_on_deli_hit = false;
@@ -371,7 +369,7 @@ proptest! {
         steps in prop::collection::vec(step_strategy(512), 1..1200),
         shift in 1u32..3,
     ) {
-        let mut config = NuCacheConfig::default()
+        let mut config = KernelConfig::default()
             .with_deli_ways(4)
             .with_epoch_len(100);
         config.monitor_shift = shift;
@@ -384,7 +382,7 @@ proptest! {
 /// anchor alongside the randomized properties.
 #[test]
 fn kernel_matches_legacy_loop_stream() {
-    let mut config = NuCacheConfig::default().with_deli_ways(8).with_epoch_len(2_000);
+    let mut config = KernelConfig::default().with_deli_ways(8).with_epoch_len(2_000);
     config.monitor_shift = 0;
     let geom = CacheGeometry::new(64 * 16 * 64, 16, 64);
     let mut kernel_backed = NuCache::new(geom, 1, config);

@@ -10,20 +10,21 @@
 //! # Examples
 //!
 //! ```
-//! use nucache_cpu::{CoreClock, ServiceLevel, TimingConfig};
+//! use nucache_cpu::{CoreClock, ServiceLevel, LLC_HIT_LATENCY};
 //!
-//! let t = TimingConfig::default();
 //! let mut clock = CoreClock::new();
-//! clock.charge(4, t.latency(ServiceLevel::LlcHit)); // 4-instr gap + LLC hit
+//! clock.charge(4, ServiceLevel::LlcHit.latency()); // 4-instr gap + LLC hit
 //! assert_eq!(clock.instructions(), 5);
-//! assert_eq!(clock.cycles(), 4 + t.llc_hit as u64);
+//! assert_eq!(clock.cycles(), 4 + u64::from(LLC_HIT_LATENCY));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod timing;
+mod timing;
 
 pub use metrics::MultiProgramMetrics;
-pub use timing::{CoreClock, ServiceLevel, TimingConfig};
+pub use timing::{
+    CoreClock, ServiceLevel, L1_HIT_LATENCY, L2_HIT_LATENCY, LLC_HIT_LATENCY, MEMORY_LATENCY,
+};

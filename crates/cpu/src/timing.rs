@@ -1,7 +1,5 @@
 //! Per-core cycle accounting.
 
-use std::fmt;
-
 /// Which level of the hierarchy served an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceLevel {
@@ -15,59 +13,32 @@ pub enum ServiceLevel {
     Memory,
 }
 
-/// Access latencies in cycles for each service level.
-///
-/// Defaults follow the usual simulation parameters of the period: 1-cycle
-/// L1, 10-cycle L2, 30-cycle shared LLC, 200-cycle memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TimingConfig {
-    /// L1 hit latency.
-    pub l1_hit: u32,
-    /// L2 hit latency.
-    pub l2_hit: u32,
-    /// Shared-LLC hit latency.
-    pub llc_hit: u32,
-    /// Main-memory latency.
-    pub memory: u32,
-}
+/// L1 hit latency, in cycles. The four latencies are the usual
+/// simulation parameters of the period.
+pub const L1_HIT_LATENCY: u32 = 1;
+/// L2 hit latency, in cycles.
+pub const L2_HIT_LATENCY: u32 = 10;
+/// Shared-LLC hit latency, in cycles.
+pub const LLC_HIT_LATENCY: u32 = 30;
+/// Main-memory latency, in cycles.
+pub const MEMORY_LATENCY: u32 = 200;
 
-impl Default for TimingConfig {
-    fn default() -> Self {
-        TimingConfig { l1_hit: 1, l2_hit: 10, llc_hit: 30, memory: 200 }
-    }
-}
+// Latencies increase down the hierarchy.
+const _: () = assert!(
+    L1_HIT_LATENCY < L2_HIT_LATENCY
+        && L2_HIT_LATENCY < LLC_HIT_LATENCY
+        && LLC_HIT_LATENCY < MEMORY_LATENCY
+);
 
-impl TimingConfig {
-    /// Latency of an access served at `level`.
-    pub const fn latency(&self, level: ServiceLevel) -> u32 {
-        match level {
-            ServiceLevel::L1Hit => self.l1_hit,
-            ServiceLevel::L2Hit => self.l2_hit,
-            ServiceLevel::LlcHit => self.llc_hit,
-            ServiceLevel::Memory => self.memory,
+impl ServiceLevel {
+    /// Latency of an access served at this level, in cycles.
+    pub const fn latency(self) -> u32 {
+        match self {
+            ServiceLevel::L1Hit => L1_HIT_LATENCY,
+            ServiceLevel::L2Hit => L2_HIT_LATENCY,
+            ServiceLevel::LlcHit => LLC_HIT_LATENCY,
+            ServiceLevel::Memory => MEMORY_LATENCY,
         }
-    }
-
-    /// Validates that latencies increase down the hierarchy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any outer level is not slower than the one above it.
-    pub fn validate(&self) {
-        assert!(
-            self.l1_hit < self.l2_hit && self.l2_hit < self.llc_hit && self.llc_hit < self.memory,
-            "latencies must increase down the hierarchy"
-        );
-    }
-}
-
-impl fmt::Display for TimingConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "L1={}cy L2={}cy LLC={}cy MEM={}cy",
-            self.l1_hit, self.l2_hit, self.llc_hit, self.memory
-        )
     }
 }
 
@@ -161,21 +132,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_latencies_ordered() {
-        TimingConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "increase down the hierarchy")]
-    fn inverted_latencies_rejected() {
-        TimingConfig { l1_hit: 10, l2_hit: 5, llc_hit: 30, memory: 200 }.validate();
-    }
-
-    #[test]
     fn latency_lookup() {
-        let t = TimingConfig::default();
-        assert_eq!(t.latency(ServiceLevel::L1Hit), 1);
-        assert_eq!(t.latency(ServiceLevel::Memory), 200);
+        assert_eq!(ServiceLevel::L1Hit.latency(), 1);
+        assert_eq!(ServiceLevel::Memory.latency(), 200);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use nucache_cache::CacheGeometry;
 use nucache_common::table::{f2, f3, Table};
-use nucache_core::NuCacheConfig;
+use nucache_core::KernelConfig;
 use nucache_experiments::{finish_run, telemetry_spec, usage_error};
 use nucache_sim::args::Args;
 use nucache_sim::{Runner, Scheme, SimConfig, SimResult};
@@ -108,8 +108,10 @@ fn parse(argv: &[String]) -> Result<Option<(Plan, Runner)>, String> {
         "ucp" => Scheme::Ucp,
         "pipp" => Scheme::Pipp,
         "nucache" => {
-            let nucache = NuCacheConfig { deli_ways: deli, epoch_len: epoch, ..Default::default() };
-            if let Err(e) = nucache.to_kernel(llc.num_sets(), llc.associativity()).validate() {
+            let nucache = KernelConfig::default().with_deli_ways(deli).with_epoch_len(epoch);
+            if let Err(e) =
+                nucache.with_sets(llc.num_sets()).with_ways(llc.associativity()).validate()
+            {
                 return Err(format!("invalid --deli-ways {deli} / --epoch {epoch}: {e}"));
             }
             Scheme::NuCache(nucache)

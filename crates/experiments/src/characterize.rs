@@ -9,7 +9,7 @@
 use nucache_cache::hierarchy::{PrivateHierarchy, PrivateOutcome};
 use nucache_cache::SharedLlc;
 use nucache_common::{AccessKind, CoreId};
-use nucache_core::{NuCache, NuCacheConfig};
+use nucache_core::{KernelConfig, NuCache};
 use nucache_sim::SimConfig;
 use nucache_trace::{SpecWorkload, TraceGen};
 
@@ -21,7 +21,7 @@ use nucache_trace::{SpecWorkload, TraceGen};
 /// cost-benefit strategy so Fig. 1/2 reflect steady-state behaviour.
 #[expect(clippy::cast_possible_truncation, reason = "access budgets are far below usize::MAX")]
 pub fn characterize(workload: SpecWorkload, accesses: u64, config: &SimConfig) -> NuCache {
-    let nucache_config = NuCacheConfig { monitor_shift: 0, ..NuCacheConfig::default() };
+    let nucache_config = KernelConfig { monitor_shift: 0, ..KernelConfig::default() };
     let mut llc = NuCache::new(config.llc, 1, nucache_config);
     let core = CoreId::new(0);
     let mut hierarchy = PrivateHierarchy::new(core, config.l1, config.l2);

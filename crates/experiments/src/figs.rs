@@ -9,7 +9,7 @@ use crate::characterize::characterize;
 use crate::{emit, geomean, run_lengths};
 use nucache_cache::CacheGeometry;
 use nucache_common::table::{f2, f3, Table};
-use nucache_core::{NuCacheConfig, SelectionStrategy};
+use nucache_core::{KernelConfig, SelectionStrategy};
 use nucache_sim::runner::{parallel_map, Runner};
 use nucache_sim::{Scheme, SimConfig};
 use nucache_trace::{Mix, SpecWorkload};
@@ -226,7 +226,7 @@ pub fn fig4(runner: &Runner) {
             if d == 0 {
                 Scheme::Lru
             } else {
-                Scheme::NuCache(NuCacheConfig::default().with_deli_ways(d))
+                Scheme::NuCache(KernelConfig::default().with_deli_ways(d))
             }
         })
         .collect();
@@ -306,9 +306,8 @@ pub fn fig10(runner: &Runner) {
     // Column 0 (LRU) is the normalization reference; the table reports
     // only the epoch columns.
     let mut schemes = vec![Scheme::Lru];
-    schemes.extend(
-        epochs.iter().map(|&e| Scheme::NuCache(NuCacheConfig::default().with_epoch_len(e))),
-    );
+    schemes
+        .extend(epochs.iter().map(|&e| Scheme::NuCache(KernelConfig::default().with_epoch_len(e))));
     let grid = runner.evaluate_grid(&base_config(4), mixes, &schemes);
     let mut header: Vec<String> = vec!["mix".into()];
     header.extend(epochs.iter().map(|e| format!("epoch_{}k", e / 1000)));
@@ -372,7 +371,7 @@ pub fn fig12(runner: &Runner) {
 
         let mut lru = BasicCache::new(config.llc, Lru::new(&config.llc));
         let mut ship = BasicCache::new(config.llc, ShipPc::new(&config.llc));
-        let mut nucache = nucache_core::NuCache::new(config.llc, 1, NuCacheConfig::default());
+        let mut nucache = nucache_core::NuCache::new(config.llc, 1, KernelConfig::default());
         for &(pc, line) in &llc_trace {
             lru.access(line, AccessKind::Read, core, pc);
             ship.access(line, AccessKind::Read, core, pc);
@@ -412,7 +411,7 @@ pub fn fig11(runner: &Runner) {
     // Column 0 (LRU) is the normalization reference.
     let mut schemes = vec![Scheme::Lru];
     schemes.extend(
-        strategies.iter().map(|(_, s)| Scheme::NuCache(NuCacheConfig::default().with_strategy(*s))),
+        strategies.iter().map(|(_, s)| Scheme::NuCache(KernelConfig::default().with_strategy(*s))),
     );
     let grid = runner.evaluate_grid(&base_config(4), mixes, &schemes);
     let mut header: Vec<String> = vec!["mix".into()];

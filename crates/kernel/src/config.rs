@@ -1,7 +1,7 @@
 //! Kernel configuration: geometry, policy knobs and the selection
-//! strategy, validated by [`NucacheKernel::init`](crate::NucacheKernel::init).
+//! strategy, validated by [`NucacheKernel::init`](crate::NucacheKernel::init),
+//! and the sizes every kernel shares.
 
-use crate::index::MAX_SLOTS;
 use core::fmt;
 
 /// How the set of chosen insertion classes is computed each epoch.
@@ -12,8 +12,7 @@ pub enum SelectionStrategy {
     CostBenefit,
     /// Exhaustive subset search over the top candidates (the selection
     /// upper bound the greedy pass is compared against; exponential, so
-    /// the candidate pool is capped — see
-    /// [`KernelConfig::oracle_pool`]).
+    /// the candidate pool is capped at [`ORACLE_POOL`]).
     Exhaustive,
     /// Always choose the `k` classes with the most misses, ignoring
     /// Next-Use information (ablation: shows delinquency alone is not
@@ -48,20 +47,25 @@ pub const DEFAULT_WAYS: usize = 16;
 pub const DEFAULT_DELI_WAYS: usize = 8;
 /// Default accesses between class re-selections.
 pub const DEFAULT_EPOCH_LEN: u64 = 100_000;
-/// Default candidate pool per selection.
-pub const DEFAULT_MAX_CANDIDATES: usize = 32;
-/// Default candidate cap for the exhaustive selection oracle.
-pub const DEFAULT_ORACLE_POOL: usize = 12;
 /// Default monitor sampling: one set in `2^DEFAULT_MONITOR_SHIFT`.
 pub const DEFAULT_MONITOR_SHIFT: u32 = 5;
 /// Default entries per sampled monitor set.
 pub const DEFAULT_MONITOR_DEPTH: usize = 64;
-/// Default buckets per per-class Next-Use histogram.
-pub const DEFAULT_HISTOGRAM_BUCKETS: usize = 32;
 
-/// Fewest slots the delinquency tracker gets, however small
-/// `max_candidates` is.
-const MIN_TRACKER_SLOTS: usize = 256;
+/// Candidate classes per selection: the most-missing classes by
+/// combined fills.
+pub const MAX_CANDIDATES: usize = 32;
+/// Candidate cap for [`SelectionStrategy::Exhaustive`], whose search is
+/// exponential in it.
+pub const ORACLE_POOL: usize = 12;
+/// Buckets in each per-class Next-Use histogram.
+pub const HISTOGRAM_BUCKETS: usize = 32;
+/// Classes the delinquency tracker holds.
+pub(crate) const TRACKER_SLOTS: usize = 256;
+
+// The chosen-set index is sized for `MAX_CANDIDATES` classes, so no
+// strategy may consider more.
+const _: () = assert!(ORACLE_POOL <= MAX_CANDIDATES);
 
 /// The largest allocation `Vec` makes, in bytes; it panics past it.
 const MAX_ALLOCATION: usize = isize::MAX as usize;
@@ -74,9 +78,13 @@ pub(crate) fn fits(count: usize, bytes: usize) -> bool {
 /// Configuration of a [`NucacheKernel`](crate::NucacheKernel).
 ///
 /// The policy defaults are the design point of the simulator's headline
-/// results (half the ways as DeliWays, 32 candidates, sampling 1 set in
-/// 32, 100k-access epochs); `crates/sim/tests/config_contract.rs` pins
-/// them against the simulator's `DEFAULT_*`/`BASELINE_*` constants.
+/// results (half the ways as DeliWays, sampling 1 set in 32, 100k-access
+/// epochs); `crates/sim/tests/config_contract.rs` pins them against the
+/// `DEFAULT_*` and the simulator's `BASELINE_*` constants. The sizes no
+/// caller varies are constants: [`MAX_CANDIDATES`], [`ORACLE_POOL`],
+/// [`HISTOGRAM_BUCKETS`] and the tracker's 256 classes. The simulator's
+/// NUcache takes this type too, with `sets` and `ways` replaced by its
+/// cache geometry's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelConfig {
     /// Number of sets; must be a power of two.
@@ -88,19 +96,11 @@ pub struct KernelConfig {
     pub deli_ways: usize,
     /// Accesses between class re-selections.
     pub epoch_len: u64,
-    /// How many of the most-missing classes are candidates for selection.
-    /// The delinquency tracker holds `max(256, max_candidates)` classes,
-    /// at most 2^31.
-    pub max_candidates: usize,
-    /// Candidate-pool cap for [`SelectionStrategy::Exhaustive`].
-    pub oracle_pool: usize,
     /// Next-Use monitor samples one set in `2^monitor_shift` (clamped so
     /// at least one set is sampled).
     pub monitor_shift: u32,
     /// Entries in each sampled set's eviction buffer.
     pub monitor_depth: usize,
-    /// Buckets in each per-class Next-Use histogram (1..=64).
-    pub histogram_buckets: usize,
     /// On a DeliWays hit, promote the entry back into the MainWays (MRU)
     /// instead of leaving it to age out of the FIFO.
     pub promote_on_deli_hit: bool,
@@ -122,11 +122,8 @@ impl Default for KernelConfig {
             ways: DEFAULT_WAYS,
             deli_ways: DEFAULT_DELI_WAYS,
             epoch_len: DEFAULT_EPOCH_LEN,
-            max_candidates: DEFAULT_MAX_CANDIDATES,
-            oracle_pool: DEFAULT_ORACLE_POOL,
             monitor_shift: DEFAULT_MONITOR_SHIFT,
             monitor_depth: DEFAULT_MONITOR_DEPTH,
-            histogram_buckets: DEFAULT_HISTOGRAM_BUCKETS,
             promote_on_deli_hit: true,
             deli_hit_refresh: false,
             strategy: SelectionStrategy::CostBenefit,
@@ -184,11 +181,6 @@ impl KernelConfig {
         self.sets.checked_mul(self.ways)
     }
 
-    /// Slots of the kernel's delinquency tracker.
-    pub(crate) fn tracker_slots(&self) -> usize {
-        MIN_TRACKER_SLOTS.max(self.max_candidates)
-    }
-
     /// Buffered evictions across the Next-Use monitor's sampled sets:
     /// `sampled sets × monitor_depth`, if that does not overflow.
     pub(crate) fn monitor_slots(&self) -> Option<usize> {
@@ -219,26 +211,14 @@ impl KernelConfig {
         if self.epoch_len == 0 {
             return Err(ConfigError::ZeroEpochLen);
         }
-        if self.max_candidates == 0 {
-            return Err(ConfigError::ZeroCandidates);
-        }
         if self.monitor_depth == 0 {
             return Err(ConfigError::ZeroMonitorDepth);
-        }
-        if self.histogram_buckets == 0 || self.histogram_buckets > 64 {
-            return Err(ConfigError::HistogramBucketsOutOfRange(self.histogram_buckets));
-        }
-        if self.oracle_pool == 0 || self.oracle_pool > 20 {
-            return Err(ConfigError::OraclePoolOutOfRange(self.oracle_pool));
         }
         // A frame holds at least an 8-byte tag. The monitor keeps an
         // 8-byte tag per buffer slot and a 16-byte clock per sampled set,
         // and every sampled set has at least one slot.
         if !self.frames().is_some_and(|f| fits(f, 8)) {
             return Err(ConfigError::TooManyFrames { sets: self.sets, ways: self.ways });
-        }
-        if self.tracker_slots() > MAX_SLOTS {
-            return Err(ConfigError::TrackerTooLarge(self.max_candidates));
         }
         if !self.monitor_slots().is_some_and(|n| fits(n, 16)) {
             return Err(ConfigError::MonitorTooLarge(self.monitor_depth));
@@ -263,15 +243,8 @@ pub enum ConfigError {
     },
     /// `epoch_len` must be non-zero.
     ZeroEpochLen,
-    /// `max_candidates` must be non-zero.
-    ZeroCandidates,
     /// `monitor_depth` must be non-zero.
     ZeroMonitorDepth,
-    /// `histogram_buckets` must be in `1..=64`.
-    HistogramBucketsOutOfRange(usize),
-    /// `oracle_pool` must be in `1..=20` (the exhaustive search is
-    /// exponential in it).
-    OraclePoolOutOfRange(usize),
     /// `sets × ways` frames must fit one allocation.
     TooManyFrames {
         /// Number of sets.
@@ -279,9 +252,6 @@ pub enum ConfigError {
         /// Ways per set.
         ways: usize,
     },
-    /// `max_candidates` must leave the delinquency tracker at most 2^31
-    /// slots, the most its class index can number.
-    TrackerTooLarge(usize),
     /// The sampled sets' `monitor_depth`-entry eviction buffers must fit
     /// one allocation.
     MonitorTooLarge(usize),
@@ -299,19 +269,9 @@ impl fmt::Display for ConfigError {
                 "deli_ways ({deli_ways}) must leave at least one MainWay of {ways} total ways"
             ),
             ConfigError::ZeroEpochLen => f.write_str("epoch_len must be non-zero"),
-            ConfigError::ZeroCandidates => f.write_str("max_candidates must be non-zero"),
             ConfigError::ZeroMonitorDepth => f.write_str("monitor_depth must be non-zero"),
-            ConfigError::HistogramBucketsOutOfRange(b) => {
-                write!(f, "histogram_buckets must be in 1..=64, got {b}")
-            }
-            ConfigError::OraclePoolOutOfRange(p) => {
-                write!(f, "oracle_pool must be in 1..=20, got {p}")
-            }
             ConfigError::TooManyFrames { sets, ways } => {
                 write!(f, "{sets} sets x {ways} ways is too many frames to allocate")
-            }
-            ConfigError::TrackerTooLarge(m) => {
-                write!(f, "max_candidates must be at most 2^31, got {m}")
             }
             ConfigError::MonitorTooLarge(d) => {
                 write!(f, "monitor_depth {d} makes the sampled buffers too large to allocate")
@@ -359,21 +319,13 @@ mod tests {
             ConfigError::NoMainWays { ways: 8, deli_ways: 8 }
         );
         assert_eq!(bad(KernelConfig::default().with_epoch_len(0)), ConfigError::ZeroEpochLen);
-        let c = KernelConfig { histogram_buckets: 65, ..KernelConfig::default() };
-        assert_eq!(bad(c), ConfigError::HistogramBucketsOutOfRange(65));
-        let c = KernelConfig { oracle_pool: 21, ..KernelConfig::default() };
-        assert_eq!(bad(c), ConfigError::OraclePoolOutOfRange(21));
     }
 
     /// Configurations whose sizes overflow what `init` allocates.
-    fn oversized() -> [(KernelConfig, ConfigError); 3] {
+    fn oversized() -> [(KernelConfig, ConfigError); 2] {
         let d = KernelConfig::default();
         [
             (d.with_sets(1 << 62), ConfigError::TooManyFrames { sets: 1 << 62, ways: 16 }),
-            (
-                KernelConfig { max_candidates: usize::MAX, ..d },
-                ConfigError::TrackerTooLarge(usize::MAX),
-            ),
             (
                 KernelConfig { monitor_depth: usize::MAX / 2, ..d },
                 ConfigError::MonitorTooLarge(usize::MAX / 2),
@@ -397,9 +349,7 @@ mod tests {
                 assert_eq!(cache.map(|_| ()), Err(err));
             }
         }
-        let d = KernelConfig::default();
-        KernelConfig { max_candidates: 1 << 31, ..d }.validate().expect("2^31 tracker slots");
-        d.with_sets(1 << 40).validate().expect("2^40 sets");
+        KernelConfig::default().with_sets(1 << 40).validate().expect("2^40 sets");
         assert!(!fits(usize::MAX / 8 + 1, 8));
         assert!(fits(MAX_ALLOCATION, 1) && !fits(MAX_ALLOCATION / 2 + 1, 2));
     }

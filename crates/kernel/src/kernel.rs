@@ -1,6 +1,9 @@
 //! The NUcache keyed-cache state machine: MainWays + DeliWays.
 
-use crate::config::{fits, ConfigError, KernelConfig, SelectionStrategy};
+use crate::config::{
+    fits, ConfigError, KernelConfig, SelectionStrategy, HISTOGRAM_BUCKETS, MAX_CANDIDATES,
+    ORACLE_POOL, TRACKER_SLOTS,
+};
 use crate::index::ClassIndex;
 use crate::monitor::NextUseMonitor;
 use crate::selector::{build_candidates, evaluate_chosen, select_classes, Candidate, Selection};
@@ -257,8 +260,8 @@ struct Mirror {
 /// * `epoch-selection-scratch` — every `epoch_len`-th access runs the
 ///   selection pass, which builds candidate and telemetry scratch and
 ///   re-indexes the new chosen set; amortized over the epoch. The
-///   chosen-set index is sized at `init` for `max(max_candidates,
-///   oracle_pool)` classes, so only a larger set regrows it.
+///   chosen-set index is sized at `init` for [`MAX_CANDIDATES`] classes,
+///   the most a selection chooses, so it never regrows.
 /// * `monitor-histogram-growth` — a Next-Use match in a sampled set may
 ///   lazily create that class's histogram; bounded by live classes.
 /// * `deli-class-counter` — a MainWays retirement bumps a per-class
@@ -310,7 +313,7 @@ pub struct NucacheKernel<V, C = crate::InsertionClass> {
     /// pressure) shows up here rather than in the miss tracker.
     deli_fills_by_class: BTreeMap<C, u64>,
     /// Classes admitted to the DeliWays: sorted and deduplicated, at most
-    /// `max_candidates` from a selection.
+    /// [`MAX_CANDIDATES`] from a selection.
     chosen: Vec<C>,
     /// Class → position in `chosen`.
     chosen_index: ClassIndex,
@@ -375,15 +378,12 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
                 set_bits,
                 config.monitor_shift.min(set_bits),
                 config.monitor_depth,
-                config.histogram_buckets,
+                HISTOGRAM_BUCKETS,
             ),
-            tracker: DelinquentTracker::with_seed(config.tracker_slots(), config.seed),
+            tracker: DelinquentTracker::with_seed(TRACKER_SLOTS, config.seed),
             deli_fills_by_class: BTreeMap::new(),
             chosen: Vec::new(),
-            chosen_index: ClassIndex::new(
-                config.max_candidates.max(config.oracle_pool),
-                config.seed,
-            ),
+            chosen_index: ClassIndex::new(MAX_CANDIDATES, config.seed),
             last_selection: Selection { chosen: Vec::new(), expected_hits: 0, extra_lifetime: 0 },
             last_miss: None,
             window_accesses: 0,
@@ -750,37 +750,6 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         }
     }
 
-    /// Opens a selection epoch: bumps the epoch counter and builds the
-    /// candidate list from the pre-decay observation state. Returns the
-    /// ranked `(class, fills)` list, the candidates and the access
-    /// denominator the selector pairs with them.
-    #[allow(clippy::type_complexity)]
-    fn begin_epoch(&mut self) -> (Vec<(C, u64)>, Vec<Candidate<C>>, u64) {
-        self.epochs += 1;
-        let pool = match self.config.strategy {
-            SelectionStrategy::Exhaustive => self.config.oracle_pool,
-            _ => self.config.max_candidates,
-        };
-        // Candidate fills combine demand misses with DeliWays insertions:
-        // for an unretained class the former dominates; for a retained
-        // class the latter is both its continued-delinquency evidence and
-        // its actual FIFO pressure. Without the combination, successfully
-        // retained classes stop missing, vanish from the candidate list
-        // and selection oscillates.
-        let mut combined: BTreeMap<C, u64> = self.deli_fills_by_class.clone();
-        for (class, misses) in self.tracker.top_k(self.tracker.len()) {
-            *combined.entry(class).or_insert(0) += misses;
-        }
-        let mut top: Vec<(C, u64)> = combined.into_iter().collect();
-        top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        top.truncate(pool);
-        let candidates = build_candidates(&top, self.monitor.histograms());
-        // Fill counts and the access denominator are both global over the
-        // same decayed window, so their ratio is the per-set fill rate;
-        // the monitor's per-set-clock histograms use the same currency.
-        (top, candidates, self.window_accesses)
-    }
-
     /// Closes a selection epoch: decays every observation structure and
     /// refreshes the audit counter snapshots.
     fn decay_window(&mut self) {
@@ -796,27 +765,15 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         }
     }
 
+    /// The inline epoch boundary: snapshots the epoch, computes its
+    /// selection and installs it, the three steps the deferred path
+    /// splits across [`take_epoch_inputs`](Self::take_epoch_inputs), a
+    /// driver thread and [`install_selection`](Self::install_selection).
     // audit:allow-alloc(epoch-boundary selection scratch, amortized over epoch_len accesses)
     fn run_selection(&mut self) {
-        let (top, candidates, accesses_global) = self.begin_epoch();
-        self.last_selection = select_classes(
-            &candidates,
-            self.deli_ways,
-            accesses_global.max(1),
-            self.config.strategy,
-            self.config.seed ^ self.epochs,
-        );
-        let chosen = class_set(&self.last_selection.chosen);
-        self.set_chosen(chosen);
-        if self.telemetry {
-            let summary = self.epoch_summary(&top);
-            self.pending_epochs.push(summary);
-        }
-        if self.audit.is_some() {
-            self.audit_epoch_observe();
-            self.audit_selection_check(&candidates, accesses_global);
-        }
-        self.decay_window();
+        let inputs = self.build_epoch_inputs();
+        let selection = inputs.compute();
+        self.install_selection(inputs, selection);
     }
 
     // ---- deferred selection (concurrent front-end) ------------------------
@@ -861,20 +818,42 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.pending_inputs.is_some()
     }
 
-    /// Snapshots one selection epoch: opens the epoch, builds the
-    /// candidate list and telemetry from the pre-decay observation
-    /// state, observes the audit invariants, then decays the window —
-    /// the inline boundary sequence minus the selection computation and
-    /// install, which the caller performs from the returned value.
+    /// Snapshots one selection epoch: opens the epoch, ranks the classes
+    /// by combined fills into the candidate list, builds the telemetry
+    /// from the pre-decay observation state, observes the audit
+    /// invariants, then decays the window. The selection computation and
+    /// its install run on the returned value.
     // audit:allow-alloc(epoch-boundary selection scratch, amortized over epoch_len accesses)
     fn build_epoch_inputs(&mut self) -> EpochInputs<C> {
-        let (top, candidates, accesses) = self.begin_epoch();
+        self.epochs += 1;
+        let pool = match self.config.strategy {
+            SelectionStrategy::Exhaustive => ORACLE_POOL,
+            _ => MAX_CANDIDATES,
+        };
+        // Candidate fills combine demand misses with DeliWays insertions:
+        // for an unretained class the former dominates; for a retained
+        // class the latter is both its continued-delinquency evidence and
+        // its actual FIFO pressure. Without the combination, successfully
+        // retained classes stop missing, vanish from the candidate list
+        // and selection oscillates.
+        let mut combined: BTreeMap<C, u64> = self.deli_fills_by_class.clone();
+        for (class, misses) in self.tracker.top_k(self.tracker.len()) {
+            *combined.entry(class).or_insert(0) += misses;
+        }
+        let mut top: Vec<(C, u64)> = combined.into_iter().collect();
+        top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        top.truncate(pool);
+        let candidates = build_candidates(&top, self.monitor.histograms());
         // Telemetry values must be what the selector saw (pre-decay);
         // the selection-dependent fields are patched in at install.
         let summary = if self.telemetry { Some(self.epoch_summary(&top)) } else { None };
         if self.audit.is_some() {
             self.audit_epoch_observe();
         }
+        // Fill counts and the access denominator are both global over the
+        // same decayed window, so their ratio is the per-set fill rate;
+        // the monitor's per-set-clock histograms use the same currency.
+        let accesses = self.window_accesses;
         self.decay_window();
         EpochInputs {
             epoch: self.epochs,
@@ -905,11 +884,11 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     /// [`take_epoch_inputs`](Self::take_epoch_inputs): swaps the chosen
     /// class set, completes and buffers the epoch telemetry, and (while
     /// auditing) verifies the selection objective against the taken
-    /// candidates.
+    /// candidates. The inline boundary ends with the same call.
     ///
     /// The installed selection is bit-identical to what the inline path
-    /// would have chosen (the snapshot is built at the inline boundary
-    /// point). The only inline/deferred divergence is staleness of the
+    /// chooses (the snapshot is built at the inline boundary point). The
+    /// only inline/deferred divergence is staleness of the
     /// chosen set between the boundary and this install: accesses in
     /// that gap — including the tail of the boundary access itself, if
     /// it retires a MainWays entry (e.g. a DeliWays-hit promotion) —
@@ -1231,23 +1210,8 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         &self.monitor
     }
 
-    /// Current combined fill counts (demand misses + DeliWays
-    /// insertions) per class, descending — the quantity candidate
-    /// ranking and the lifetime cost model use. Exposed for diagnostics
-    /// and tests.
-    pub fn combined_fills(&self) -> Vec<(C, u64)> {
-        let mut combined: BTreeMap<C, u64> = self.deli_fills_by_class.clone();
-        for (class, misses) in self.tracker.top_k(self.tracker.len()) {
-            *combined.entry(class).or_insert(0) += misses;
-        }
-        let mut v: Vec<(C, u64)> = combined.into_iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
-    /// Access denominator the selector pairs with
-    /// [`combined_fills`](NucacheKernel::combined_fills) (accesses in
-    /// the decay window).
+    /// Access denominator the selector pairs with the classes' combined
+    /// fills (accesses in the decay window).
     pub const fn selection_accesses(&self) -> u64 {
         self.window_accesses
     }

@@ -144,8 +144,8 @@ pub mod tracker;
 pub use class::InsertionClass;
 pub use config::{
     ConfigError, KernelConfig, SelectionStrategy, DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN,
-    DEFAULT_HISTOGRAM_BUCKETS, DEFAULT_MAX_CANDIDATES, DEFAULT_MONITOR_DEPTH,
-    DEFAULT_MONITOR_SHIFT, DEFAULT_ORACLE_POOL, DEFAULT_SETS, DEFAULT_WAYS,
+    DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS, HISTOGRAM_BUCKETS,
+    MAX_CANDIDATES, ORACLE_POOL,
 };
 pub use kernel::{
     ClassSnapshot, EpochInputs, EpochSummary, Evicted, Lookup, NucacheKernel, Region,

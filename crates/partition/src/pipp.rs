@@ -10,6 +10,7 @@
 //! immediate victim candidates.
 
 use crate::lookahead::lookahead_partition;
+use crate::ucp::DEFAULT_UMON_SHIFT;
 use nucache_cache::meta::{AccessOutcome, LineMeta};
 use nucache_cache::shadow::UtilityMonitor;
 use nucache_cache::{AuditStats, CacheGeometry, SetArray, SharedLlc};
@@ -74,7 +75,7 @@ impl PippLlc {
         PippLlc {
             array: SetArray::new(geom),
             monitors: (0..num_cores)
-                .map(|_| UtilityMonitor::new(&geom, 5.min(geom.set_bits())))
+                .map(|_| UtilityMonitor::new(&geom, DEFAULT_UMON_SHIFT.min(geom.set_bits())))
                 .collect(),
             alloc,
             streaming: vec![false; num_cores],

@@ -16,7 +16,7 @@ use nucache_cache::{AuditStats, CacheGeometry, SetArray, SharedLlc};
 use nucache_common::tags::{rank_oldest, rank_oldest_in, rank_touch};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 
-/// Default set-sampling shift for the UMONs (1 set in 32).
+/// Set-sampling shift of the UCP and PIPP UMONs (1 set in 32).
 pub const DEFAULT_UMON_SHIFT: u32 = 5;
 
 /// A UCP-managed shared LLC.
@@ -46,28 +46,19 @@ pub struct UcpLlc {
 
 impl UcpLlc {
     /// Creates a UCP LLC for `num_cores` cores repartitioning every
-    /// `epoch_len` LLC accesses, with default UMON sampling.
-    pub fn new(geom: CacheGeometry, num_cores: usize, epoch_len: u64) -> Self {
-        Self::with_umon_shift(geom, num_cores, epoch_len, DEFAULT_UMON_SHIFT)
-    }
-
-    /// Creates a UCP LLC with an explicit UMON set-sampling shift.
+    /// `epoch_len` LLC accesses, its UMONs sampling one set in
+    /// `2^DEFAULT_UMON_SHIFT`.
     ///
     /// # Panics
     ///
     /// Panics if `num_cores` is zero, the associativity is smaller than
     /// the core count (no way to give each core a way), or `epoch_len`
     /// is zero.
-    pub fn with_umon_shift(
-        geom: CacheGeometry,
-        num_cores: usize,
-        epoch_len: u64,
-        umon_shift: u32,
-    ) -> Self {
+    pub fn new(geom: CacheGeometry, num_cores: usize, epoch_len: u64) -> Self {
         assert!(num_cores > 0, "need at least one core");
         assert!(geom.associativity() >= num_cores, "fewer ways than cores");
         assert!(epoch_len > 0, "zero epoch length");
-        let shift = umon_shift.min(geom.set_bits());
+        let shift = DEFAULT_UMON_SHIFT.min(geom.set_bits());
         let base = geom.associativity() / num_cores;
         let mut alloc = vec![base; num_cores];
         for a in alloc.iter_mut().take(geom.associativity() - base * num_cores) {

@@ -2,7 +2,6 @@
 
 use nucache_cache::config::DEFAULT_BLOCK_BYTES;
 use nucache_cache::CacheGeometry;
-use nucache_cpu::TimingConfig;
 
 /// Baseline private L1 capacity per core, in bytes (32 KB).
 pub const BASELINE_L1_BYTES: u64 = 32 * 1024;
@@ -28,9 +27,9 @@ pub const BASELINE_SEED: u64 = 0x5eed_2011;
 ///
 /// The default corresponds to the evaluation's baseline: private
 /// 32 KB / 8-way L1 and 256 KB / 8-way L2 per core, a shared 16-way LLC
-/// sized at 1 MiB per core, 64 B blocks everywhere, and the default
-/// latency ladder. Per-core run lengths: 300k warm-up accesses followed
-/// by 1M measured accesses.
+/// sized at 1 MiB per core and 64 B blocks everywhere. Per-core run
+/// lengths: 300k warm-up accesses followed by 1M measured accesses. The
+/// latencies are `nucache_cpu`'s constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SimConfig {
     /// Number of cores.
@@ -41,8 +40,6 @@ pub struct SimConfig {
     pub l2: CacheGeometry,
     /// Shared LLC geometry.
     pub llc: CacheGeometry,
-    /// Latencies.
-    pub timing: TimingConfig,
     /// Per-core accesses before measurement starts.
     pub warmup_accesses: u64,
     /// Per-core accesses measured (metrics freeze once a core reaches
@@ -70,7 +67,6 @@ impl SimConfig {
                 BASELINE_LLC_WAYS,
                 DEFAULT_BLOCK_BYTES,
             ),
-            timing: TimingConfig::default(),
             warmup_accesses: BASELINE_WARMUP_ACCESSES,
             measure_accesses: BASELINE_MEASURE_ACCESSES,
             seed: BASELINE_SEED,
@@ -85,7 +81,6 @@ impl SimConfig {
             l1: CacheGeometry::new(4 * 1024, 4, 64),
             l2: CacheGeometry::new(16 * 1024, 8, 64),
             llc: CacheGeometry::new(64 * 1024, 16, 64),
-            timing: TimingConfig::default(),
             warmup_accesses: 5_000,
             measure_accesses: 20_000,
             seed: BASELINE_SEED,
@@ -129,10 +124,8 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the latency ladder is inverted or the LLC is smaller
-    /// than one core's L2.
+    /// Panics if the LLC is smaller than one core's L2.
     pub fn validate(&self) {
-        self.timing.validate();
         assert!(self.llc.size_bytes() >= self.l2.size_bytes(), "LLC smaller than a private L2");
         assert!(self.num_cores > 0, "need at least one core");
     }

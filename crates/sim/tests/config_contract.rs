@@ -2,16 +2,15 @@
 //!
 //! DESIGN.md §10.1 and EXPERIMENTS.md bind their configuration tables to
 //! these constants (`doc-constant-drift`), and this test binds the
-//! constants to the actual `SimConfig::baseline` / `NuCacheConfig`
+//! constants to the actual `SimConfig::baseline` / `KernelConfig`
 //! wiring — so a retuned default cannot silently diverge from either
 //! the docs or the constant it is named after.
 
 use nucache_cache::config::DEFAULT_BLOCK_BYTES;
-use nucache_core::config::{
-    DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN, DEFAULT_HISTOGRAM_BUCKETS, DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT, DEFAULT_ORACLE_POOL,
+use nucache_kernel::{
+    KernelConfig, DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_DEPTH,
+    DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS,
 };
-use nucache_core::NuCacheConfig;
 use nucache_sim::config::{
     BASELINE_L1_BYTES, BASELINE_L1_WAYS, BASELINE_L2_BYTES, BASELINE_L2_WAYS,
     BASELINE_LLC_BYTES_PER_CORE, BASELINE_LLC_WAYS, BASELINE_MEASURE_ACCESSES, BASELINE_SEED,
@@ -49,63 +48,20 @@ fn trace_block_bits_match_cache_block_bytes() {
     assert_eq!(nucache_trace::BLOCK_BYTES, u64::from(DEFAULT_BLOCK_BYTES));
 }
 
-#[test]
-fn default_nucache_config_uses_named_constants() {
-    let nu = NuCacheConfig::default();
-    assert_eq!(nu.deli_ways, DEFAULT_DELI_WAYS);
-    assert_eq!(nu.epoch_len, DEFAULT_EPOCH_LEN);
-    assert_eq!(nu.max_candidates, DEFAULT_MAX_CANDIDATES);
-    assert_eq!(nu.oracle_pool, DEFAULT_ORACLE_POOL);
-    assert_eq!(nu.monitor_shift, DEFAULT_MONITOR_SHIFT);
-    assert_eq!(nu.monitor_depth, DEFAULT_MONITOR_DEPTH);
-    assert_eq!(nu.histogram_buckets, DEFAULT_HISTOGRAM_BUCKETS);
-    // The design point leaves half the 16-way LLC as MainWays.
-    assert_eq!(BASELINE_LLC_WAYS - nu.deli_ways, 8);
-}
-
-/// The embeddable kernel's defaults are the same design point as the
-/// simulator's: every shared policy knob of
-/// [`nucache_kernel::KernelConfig::default`] must equal the
-/// corresponding `DEFAULT_*` constant / [`NuCacheConfig`] default, and
-/// its default geometry must be the baseline LLC way count. A library
+/// The kernel's defaults are the simulator's design point: every policy
+/// default of [`KernelConfig::default`] equals its `DEFAULT_*` constant,
+/// and its default geometry has the baseline LLC's way count. A library
 /// embedder starting from `KernelConfig::default()` then gets exactly
 /// the configuration the paper's results were reproduced with.
 #[test]
 fn kernel_defaults_match_simulator_design_point() {
-    let k = nucache_kernel::KernelConfig::default();
-    let nu = NuCacheConfig::default();
+    let k = KernelConfig::default();
+    assert_eq!((k.sets, k.ways), (DEFAULT_SETS, DEFAULT_WAYS));
     assert_eq!(k.ways, BASELINE_LLC_WAYS);
     assert_eq!(k.deli_ways, DEFAULT_DELI_WAYS);
+    // The design point leaves half the 16-way LLC as MainWays.
+    assert_eq!(BASELINE_LLC_WAYS - k.deli_ways, 8);
     assert_eq!(k.epoch_len, DEFAULT_EPOCH_LEN);
-    assert_eq!(k.max_candidates, DEFAULT_MAX_CANDIDATES);
-    assert_eq!(k.oracle_pool, DEFAULT_ORACLE_POOL);
     assert_eq!(k.monitor_shift, DEFAULT_MONITOR_SHIFT);
     assert_eq!(k.monitor_depth, DEFAULT_MONITOR_DEPTH);
-    assert_eq!(k.histogram_buckets, DEFAULT_HISTOGRAM_BUCKETS);
-    assert_eq!(k.promote_on_deli_hit, nu.promote_on_deli_hit);
-    assert_eq!(k.deli_hit_refresh, nu.deli_hit_refresh);
-    assert_eq!(k.strategy, nu.strategy);
-    assert_eq!(k.seed, nu.seed);
-    assert_eq!(k.sets, nucache_kernel::DEFAULT_SETS);
-    assert_eq!(k.ways, nucache_kernel::DEFAULT_WAYS);
-}
-
-/// Lowering the simulator configuration to a kernel configuration is
-/// field-faithful: `NuCacheConfig::to_kernel` plus the geometry equals
-/// the kernel config the adapter runs on.
-#[test]
-fn to_kernel_lowering_is_field_faithful() {
-    let nu = NuCacheConfig::default().with_deli_ways(4).with_epoch_len(777).with_seed(42);
-    let k = nu.to_kernel(2048, BASELINE_LLC_WAYS);
-    assert_eq!(k.sets, 2048);
-    assert_eq!(k.ways, BASELINE_LLC_WAYS);
-    assert_eq!(k.deli_ways, 4);
-    assert_eq!(k.epoch_len, 777);
-    assert_eq!(k.seed, 42);
-    assert_eq!(k.max_candidates, nu.max_candidates);
-    assert_eq!(k.oracle_pool, nu.oracle_pool);
-    assert_eq!(k.monitor_shift, nu.monitor_shift);
-    assert_eq!(k.monitor_depth, nu.monitor_depth);
-    assert_eq!(k.histogram_buckets, nu.histogram_buckets);
-    assert!(k.validate().is_ok());
 }

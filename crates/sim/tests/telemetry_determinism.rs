@@ -14,7 +14,7 @@ fn mix() -> Mix {
 /// NUcache with an epoch short enough that demo-length runs (25k core
 /// accesses) cross several selection epochs.
 fn nucache_short_epoch() -> Scheme {
-    Scheme::NuCache(nucache_core::NuCacheConfig::default().with_epoch_len(1_000))
+    Scheme::NuCache(nucache_core::KernelConfig::default().with_epoch_len(1_000))
 }
 
 const INTERVAL: u64 = 10_000;

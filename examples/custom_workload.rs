@@ -7,7 +7,7 @@ use nucache_repro::cache::hierarchy::{PrivateHierarchy, PrivateOutcome};
 use nucache_repro::cache::{CacheGeometry, SharedLlc};
 use nucache_repro::common::table::Table;
 use nucache_repro::common::{AccessKind, CoreId};
-use nucache_repro::core::{NuCache, NuCacheConfig};
+use nucache_repro::core::{KernelConfig, NuCache};
 use nucache_repro::trace::{Behavior, Phase, SiteSpec, TraceGen, TraceSummary, WorkloadSpec};
 
 fn main() {
@@ -41,7 +41,7 @@ fn main() {
     println!("  top-2 PCs cover: {:.0}% of accesses\n", summary.top_pc_coverage(2) * 100.0);
 
     // Drive it through a private hierarchy into an instrumented NUcache.
-    let mut nucache_config = NuCacheConfig::default().with_epoch_len(25_000);
+    let mut nucache_config = KernelConfig::default().with_epoch_len(25_000);
     nucache_config.monitor_shift = 0; // observe every set for the demo
     let llc_geom = CacheGeometry::new(1024 * 1024, 16, 64);
     let mut llc = NuCache::new(llc_geom, 1, nucache_config);

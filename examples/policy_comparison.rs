@@ -14,7 +14,7 @@ use nucache_repro::cache::policy::{Dip, Drrip, Lru, ShipPc};
 use nucache_repro::cache::{BasicCache, CacheGeometry, ReplacementPolicy, SharedLlc};
 use nucache_repro::common::table::{f2, Table};
 use nucache_repro::common::{AccessKind, CoreId, LineAddr, Pc};
-use nucache_repro::core::{NuCache, NuCacheConfig};
+use nucache_repro::core::{KernelConfig, NuCache};
 
 /// The shared access pattern: a reusable loop of 6 lines per set buried
 /// under twice as much scan traffic. Per-set reuse distance is ~18 —
@@ -55,7 +55,7 @@ fn main() {
     ];
 
     // NUcache with 8 of 16 ways as DeliWays and a fast epoch.
-    let config = NuCacheConfig::default().with_deli_ways(8).with_epoch_len(20_000);
+    let config = KernelConfig::default().with_deli_ways(8).with_epoch_len(20_000);
     let mut nucache = NuCache::new(geom, 1, config);
     drive(|line, pc| {
         nucache.access(CoreId::new(0), pc, line, AccessKind::Read);

@@ -5,13 +5,13 @@
 
 use nucache_repro::cache::{CacheGeometry, SharedLlc};
 use nucache_repro::common::{AccessKind, CoreId, LineAddr, Pc};
-use nucache_repro::core::{NuCache, NuCacheConfig};
+use nucache_repro::core::{KernelConfig, NuCache};
 
 fn main() {
     // A 1 MiB, 16-way shared LLC with 8 DeliWays and a short selection
     // epoch so the demo converges quickly.
     let geom = CacheGeometry::new(1024 * 1024, 16, 64);
-    let config = NuCacheConfig::default().with_deli_ways(8).with_epoch_len(20_000);
+    let config = KernelConfig::default().with_deli_ways(8).with_epoch_len(20_000);
     let mut llc = NuCache::new(geom, 1, config);
 
     let core = CoreId::new(0);

@@ -76,7 +76,7 @@ fn nucache_internals_are_active_in_a_real_mix() {
     let config = test_config(2);
     let mix = Mix::new("internals", vec![SpecWorkload::SphinxLike, SpecWorkload::LbmLike]);
     let (result, llc) =
-        run_mix_nucache(&config, &mix, nucache_repro::core::NuCacheConfig::default());
+        run_mix_nucache(&config, &mix, nucache_repro::core::KernelConfig::default());
     assert!(llc.epochs() > 0, "selection must have run");
     assert!(llc.deli_fills() > 0, "DeliWays must be used");
     assert!(llc.deli_hits() > 0, "DeliWays must produce hits");

@@ -5,7 +5,7 @@
 use nucache_repro::cache::policy::Lru;
 use nucache_repro::cache::{BasicCache, CacheGeometry, SharedLlc};
 use nucache_repro::common::{AccessKind, CoreId, LineAddr, Log2Histogram, Pc};
-use nucache_repro::core::{NuCache, NuCacheConfig};
+use nucache_repro::core::{KernelConfig, NuCache};
 use nucache_repro::partition::{lookahead_partition, PippLlc, UcpLlc};
 use proptest::prelude::*;
 
@@ -56,7 +56,7 @@ proptest! {
         deli in 1usize..7,
     ) {
         let geom = CacheGeometry::new(64 * 8 * 8, 8, 64); // 8 sets, 8-way
-        let mut config = NuCacheConfig::default().with_deli_ways(deli).with_epoch_len(50);
+        let mut config = KernelConfig::default().with_deli_ways(deli).with_epoch_len(50);
         config.monitor_shift = 0;
         let mut llc = NuCache::new(geom, 2, config);
         for (line, w, core) in &trace {
