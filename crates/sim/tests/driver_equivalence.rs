@@ -2,9 +2,11 @@
 //! behaviour change: [`run_mix`] (concrete LLC type, static dispatch)
 //! must produce bit-identical [`SimResult`]s to driving the same scheme
 //! through `dyn SharedLlc` — for every scheme, and for arbitrary seeds
-//! and run lengths.
+//! and run lengths. [`run_mix_nucache`] must simulate the same cache as
+//! [`run_mix`] does for the same NUcache scheme.
 
-use nucache_sim::{run_mix, run_mix_on, Scheme, SimConfig, SimResult};
+use nucache_core::{KernelConfig, SelectionStrategy};
+use nucache_sim::{run_mix, run_mix_nucache, run_mix_on, Scheme, SimConfig, SimResult};
 use nucache_trace::{Mix, SpecWorkload};
 use proptest::prelude::*;
 
@@ -40,6 +42,20 @@ fn mono_matches_dyn_for_every_scheme() {
         let mono = run_mix(&config, &mix, &scheme);
         let dynamic = dyn_run(&config, &mix, &scheme);
         assert_eq!(mono, dynamic, "mono vs dyn SimResult differs for {}", scheme.name());
+    }
+}
+
+/// `run_mix_nucache` builds its LLC exactly as `run_mix` builds
+/// `Scheme::NuCache`, the run's seed included, so the stochastic
+/// strategies agree too.
+#[test]
+fn run_mix_nucache_matches_run_mix() {
+    let config = SimConfig::demo();
+    let mix = contended_mix();
+    for strategy in [SelectionStrategy::CostBenefit, SelectionStrategy::Random(2)] {
+        let nucache = KernelConfig::default().with_epoch_len(5_000).with_strategy(strategy);
+        let (result, _) = run_mix_nucache(&config, &mix, nucache);
+        assert_eq!(result, run_mix(&config, &mix, &Scheme::NuCache(nucache)), "{strategy}");
     }
 }
 
