@@ -24,7 +24,8 @@ use crate::meta::{EvictedLine, LineMeta};
 /// they panic at the faulting operation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuditStats {
-    /// Array operations mirrored into the reference model and compared.
+    /// Operations checked against a reference model: every `SetArray`
+    /// operation, or every NUcache kernel `get`, `put` and `remove`.
     pub array_ops: u64,
     /// Epoch-level invariant checks performed (NUcache selection epochs).
     pub epoch_checks: u64,

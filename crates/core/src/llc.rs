@@ -84,18 +84,20 @@ impl NuCache {
         llc
     }
 
-    /// Enables the differential audit oracle: the kernel mirrors every
-    /// array operation into a naive reference model of residency and
-    /// each selection epoch verifies NUcache's invariants (DeliWays
+    /// Enables the differential audit oracle: the kernel replays every
+    /// `get`, `put` and `remove` into a reference model of its
+    /// replacement (MainWays LRU, DeliWays FIFO of chosen PCs' victims)
+    /// and each selection epoch verifies NUcache's invariants (DeliWays
     /// occupancy within capacity, monotone counters, selection objective
-    /// reproducible from the candidates). The adapter additionally
+    /// reproducible from the candidates); see
+    /// [`NucacheKernel::enable_audit`]. The adapter additionally
     /// cross-checks per-core stats attribution against the aggregate on
     /// every access. Violations panic at the faulting operation.
     pub fn enable_audit(&mut self) {
         self.kernel.enable_audit();
     }
 
-    /// Disables the audit oracle and drops its mirror state.
+    /// Disables the audit oracle and drops its model.
     pub fn disable_audit(&mut self) {
         self.kernel.disable_audit();
     }
@@ -586,7 +588,7 @@ mod tests {
         assert_eq!(none, None);
         assert_eq!(plain, audited, "auditing must not perturb simulation results");
         let stats = stats.expect("auditing was on");
-        assert!(stats.array_ops > 0, "array mirror must have been exercised");
+        assert!(stats.array_ops > 0, "the reference model must have been exercised");
         assert!(stats.epoch_checks > 0, "epoch invariants must have been checked");
     }
 

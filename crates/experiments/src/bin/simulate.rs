@@ -12,8 +12,9 @@
 //! core (defaults cycle the roster). `--normalize` also runs the solo
 //! baselines and reports weighted speedup / ANTT. `--audit` runs the
 //! differential invariant oracle alongside the simulation: every
-//! tag-array operation is mirrored into a naive reference model and
-//! NUcache's epoch invariants are checked; any divergence aborts the run.
+//! tag-array operation, or NUcache's every `get`/`put`/`remove`, is
+//! checked against a reference model and NUcache's epoch invariants are
+//! checked; any divergence aborts the run.
 //!
 //! Input the simulator cannot build (a non-power-of-two LLC, a zero
 //! measurement window, NUcache flags the kernel rejects, more cores
@@ -163,7 +164,7 @@ fn simulate(plan: &Plan, runner: &Runner) {
         print_cores(&result);
         println!("\nLLC totals: {}", result.llc_totals);
         println!(
-            "audit: {} array ops mirrored, {} epoch checks, 0 divergences",
+            "audit: {} operations checked, {} epoch checks, 0 divergences",
             stats.array_ops, stats.epoch_checks
         );
     } else if plan.normalize {

@@ -12,7 +12,8 @@ pub enum SelectionStrategy {
     CostBenefit,
     /// Exhaustive subset search over the top candidates (the selection
     /// upper bound the greedy pass is compared against; exponential, so
-    /// the candidate pool is capped at [`ORACLE_POOL`]).
+    /// the candidate pool is capped at the 12 classes with the most
+    /// fills).
     Exhaustive,
     /// Always choose the `k` classes with the most misses, ignoring
     /// Next-Use information (ablation: shows delinquency alone is not
@@ -57,7 +58,7 @@ pub const DEFAULT_MONITOR_DEPTH: usize = 64;
 pub const MAX_CANDIDATES: usize = 32;
 /// Candidate cap for [`SelectionStrategy::Exhaustive`], whose search is
 /// exponential in it.
-pub const ORACLE_POOL: usize = 12;
+pub(crate) const ORACLE_POOL: usize = 12;
 /// Buckets in each per-class Next-Use histogram.
 pub const HISTOGRAM_BUCKETS: usize = 32;
 /// Classes the delinquency tracker holds.
@@ -81,8 +82,8 @@ pub(crate) fn fits(count: usize, bytes: usize) -> bool {
 /// results (half the ways as DeliWays, sampling 1 set in 32, 100k-access
 /// epochs); `crates/sim/tests/config_contract.rs` pins them against the
 /// `DEFAULT_*` and the simulator's `BASELINE_*` constants. The sizes no
-/// caller varies are constants: [`MAX_CANDIDATES`], [`ORACLE_POOL`],
-/// [`HISTOGRAM_BUCKETS`] and the tracker's 256 classes. The simulator's
+/// caller varies are constants: [`MAX_CANDIDATES`], [`HISTOGRAM_BUCKETS`],
+/// the exhaustive strategy's 12-class pool and the tracker's 256 classes. The simulator's
 /// NUcache takes this type too, with `sets` and `ways` replaced by its
 /// cache geometry's.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -5,10 +5,11 @@ use crate::config::{
     ORACLE_POOL, TRACKER_SLOTS,
 };
 use crate::index::ClassIndex;
+use crate::model::{Entry, ReplacementModel};
 use crate::monitor::NextUseMonitor;
 use crate::selector::{build_candidates, evaluate_chosen, select_classes, Candidate, Selection};
 use crate::tracker::DelinquentTracker;
-use alloc::collections::{BTreeMap, BTreeSet};
+use alloc::collections::BTreeMap;
 use alloc::vec;
 use alloc::vec::Vec;
 use core::fmt::Debug;
@@ -198,14 +199,21 @@ impl<C: Copy + Ord + Debug> EpochInputs<C> {
     }
 }
 
-/// Counter snapshots for the audit oracle's monotonicity checks.
+/// The audit oracle's state while
+/// [`enable_audit`](NucacheKernel::enable_audit) is on: the replacement
+/// model every `get`, `put` and `remove` is replayed into, and counter
+/// snapshots for the monotonicity checks.
 ///
-/// Each field records the value at the last check; counters must never
-/// decrease between checks within an epoch. The decay at each selection
-/// epoch (and an explicit stats reset) legitimately shrinks them, so
-/// both paths refresh the snapshot via `audit_snapshot`.
-#[derive(Debug, Clone, Default)]
-struct EpochAudit {
+/// Each counter field records the value at the last check; counters
+/// must never decrease between checks within an epoch. The decay at
+/// each selection epoch (and an explicit stats reset) legitimately
+/// shrinks them, so both paths refresh the snapshot via
+/// `audit_snapshot`.
+#[derive(Debug, Clone)]
+struct Audit<C> {
+    model: ReplacementModel<C>,
+    /// Operations replayed into the model.
+    ops: u64,
     accesses: u64,
     deli_hits: u64,
     deli_fills: u64,
@@ -219,15 +227,10 @@ struct EpochAudit {
     epoch_checks: u64,
 }
 
-/// Naive reference model of residency, mirrored on every array
-/// operation while auditing is enabled. Divergence panics at the
-/// faulting operation.
-#[derive(Debug, Clone, Default)]
-struct Mirror {
-    /// Resident tags per set.
-    resident: Vec<BTreeSet<u64>>,
-    /// Mirrored-and-compared operations.
-    ops: u64,
+/// The key and class of an entry that left the cache, as the audit
+/// compares them.
+fn entry_of<V, C: Copy>(evicted: &Evicted<V, C>) -> Entry<C> {
+    (evicted.key, evicted.class)
 }
 
 /// An embeddable NUcache: a set-associative keyed cache whose ways are
@@ -271,9 +274,12 @@ struct Mirror {
 ///   allocates both at their full capacity, so the append never
 ///   reallocates and nothing grows after `new`; once the table is full,
 ///   the coldest class is reclaimed in place.
-/// * `audit-mirror-residency` — with [`enable_audit`](Self::enable_audit)
-///   on, fills record the tag in a reference residency set; the audit
-///   mirror is a test harness and never runs in measured configurations.
+/// * `audit-model-lists` — with [`enable_audit`](Self::enable_audit) on,
+///   every `get`, `put` and `remove` is replayed into a reference model
+///   whose per-set lists take an insert at the front; `enable_audit`
+///   allocates each list at its region's way count, so an insert never
+///   reallocates. The audit is a test harness and never runs in measured
+///   configurations.
 ///
 /// # Examples
 ///
@@ -339,8 +345,7 @@ pub struct NucacheKernel<V, C = crate::InsertionClass> {
     /// The snapshot awaiting [`NucacheKernel::take_epoch_inputs`].
     pending_inputs: Option<EpochInputs<C>>,
     pending_epochs: Vec<EpochSummary<C>>,
-    audit: Option<EpochAudit>,
-    mirror: Option<Mirror>,
+    audit: Option<Audit<C>>,
 }
 
 impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
@@ -398,7 +403,6 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             pending_inputs: None,
             pending_epochs: Vec::new(),
             audit: None,
-            mirror: None,
             config,
         })
     }
@@ -435,22 +439,6 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    /// [`way_of`](Self::way_of), cross-checked against the audit mirror
-    /// when auditing is on.
-    #[inline]
-    fn find(&mut self, set: usize, tag: u64) -> Option<usize> {
-        let found = self.way_of(set, tag);
-        if let Some(mir) = &mut self.mirror {
-            mir.ops += 1;
-            assert_eq!(
-                mir.resident[set].contains(&tag),
-                found.is_some(),
-                "audit: find({set}, {tag:#x}) diverged from the reference model"
-            );
-        }
-        found
-    }
-
     /// Installs an entry into a frame, returning whatever it displaced.
     fn fill_frame(
         &mut self,
@@ -472,21 +460,6 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.tags[f] = tag;
         self.entries[f] = Some(Stored { class, value });
         self.valid[set] |= 1u64 << way;
-        if let Some(mir) = &mut self.mirror {
-            mir.ops += 1;
-            if let Some(d) = &displaced {
-                assert!(
-                    mir.resident[set].remove(&d.tag),
-                    "audit: displaced tag {:#x} missing from the reference model",
-                    d.tag
-                );
-            }
-            assert!(
-                // audit:allow-alloc(audit mirror residency set, populated only when enable_audit is on)
-                mir.resident[set].insert(tag),
-                "audit: fill of already-resident tag {tag:#x} in set {set}"
-            );
-        }
         displaced
     }
 
@@ -500,13 +473,6 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         let tag = self.tags[f];
         #[expect(clippy::expect_used, reason = "a valid frame holds an entry")]
         let stored = self.entries[f].take().expect("valid frame holds an entry");
-        if let Some(mir) = &mut self.mirror {
-            mir.ops += 1;
-            assert!(
-                mir.resident[set].remove(&tag),
-                "audit: invalidated tag {tag:#x} missing from the reference model"
-            );
-        }
         Some(Displaced { tag, class: stored.class, value: stored.value })
     }
 
@@ -605,11 +571,14 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.window_accesses += 1;
         self.epoch_tick();
 
-        let Some(way) = self.find(set, tag) else {
+        let Some(way) = self.way_of(set, tag) else {
             self.misses += 1;
             self.last_miss = Some(key);
             self.tracker.record_miss(class);
             self.monitor.on_next_use(key);
+            if self.audit.is_some() {
+                self.audit_replay("get", key, (None, None), |m| m.on_get(key));
+            }
             return Lookup::Miss;
         };
 
@@ -649,7 +618,8 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             }
         }
         if self.audit.is_some() {
-            self.audit_access_check(set);
+            let left = evicted.as_ref().map(entry_of);
+            self.audit_replay("get", key, (Some(region), left), |m| m.on_get(key));
         }
         let f = self.frame(set, final_way);
         #[expect(clippy::expect_used, reason = "the hit entry is resident")]
@@ -670,29 +640,34 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     pub fn put(&mut self, key: u64, class: C, value: V) -> Option<Evicted<V, C>> {
         let set = self.set_of(key);
         let tag = self.tag_of(key);
-        if self.last_miss.take() != Some(key) {
-            if let Some(way) = self.find(set, tag) {
-                let f = self.frame(set, way);
-                #[expect(clippy::expect_used, reason = "`find` just matched this frame")]
-                let stored = self.entries[f].as_mut().expect("resident entry");
-                stored.class = class;
-                stored.value = value;
-                return None;
-            }
-        }
-        let (way, leaving) = match self.free_main_way(set) {
-            Some(w) => (w, None),
-            None => {
-                let w = self.main_victim(set);
-                #[expect(clippy::expect_used, reason = "full MainWays: the victim frame is valid")]
-                let victim = self.invalidate(set, w).expect("MainWays full, victim valid");
-                (w, self.retire_from_main(set, victim))
-            }
+        let resident =
+            if self.last_miss.take() == Some(key) { None } else { self.way_of(set, tag) };
+        let leaving = if let Some(way) = resident {
+            let f = self.frame(set, way);
+            #[expect(clippy::expect_used, reason = "`way_of` just matched this frame")]
+            let stored = self.entries[f].as_mut().expect("resident entry");
+            stored.class = class;
+            stored.value = value;
+            None
+        } else {
+            let (way, leaving) = match self.free_main_way(set) {
+                Some(w) => (w, None),
+                None => {
+                    let w = self.main_victim(set);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "full MainWays: the victim frame is valid"
+                    )]
+                    let victim = self.invalidate(set, w).expect("MainWays full, victim valid");
+                    (w, self.retire_from_main(set, victim))
+                }
+            };
+            self.fill_frame(set, way, tag, class, value);
+            self.touch_main(set, way);
+            leaving
         };
-        self.fill_frame(set, way, tag, class, value);
-        self.touch_main(set, way);
         if self.audit.is_some() {
-            self.audit_access_check(set);
+            self.audit_replay("put", key, leaving.as_ref().map(entry_of), |m| m.on_put(key, class));
         }
         leaving
     }
@@ -703,13 +678,14 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     // audit:hot-path
     pub fn remove(&mut self, key: u64) -> Option<Evicted<V, C>> {
         let set = self.set_of(key);
-        let tag = self.tag_of(key);
-        let way = self.find(set, tag)?;
-        self.invalidate(set, way).map(|d| Evicted {
-            key: self.key_of(set, d.tag),
-            class: d.class,
-            value: d.value,
-        })
+        let removed = self
+            .way_of(set, self.tag_of(key))
+            .and_then(|way| self.invalidate(set, way))
+            .map(|d| Evicted { key, class: d.class, value: d.value });
+        if self.audit.is_some() {
+            self.audit_replay("remove", key, removed.as_ref().map(entry_of), |m| m.on_remove(key));
+        }
+        removed
     }
 
     /// Whether `key` is resident, without perturbing any replacement,
@@ -897,7 +873,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     /// before the next chosen-consulting operation, deferred equals
     /// inline bit-for-bit, telemetry included.
     pub fn install_selection(&mut self, inputs: EpochInputs<C>, selection: Selection<C>) {
-        self.set_chosen(class_set(&selection.chosen));
+        self.set_chosen(&selection.chosen);
         self.last_selection = selection;
         if self.audit.is_some() {
             self.audit_selection_check(&inputs.candidates, inputs.accesses);
@@ -950,32 +926,50 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
 
     // ---- audit oracle -----------------------------------------------------
 
-    /// Enables the differential audit oracle: every array operation is
-    /// mirrored into a naive reference model of residency, and each
-    /// selection epoch verifies the kernel's invariants (DeliWays
-    /// occupancy within capacity, monotone counters, selection objective
-    /// reproducible from the candidates). Violations panic at the
-    /// faulting operation.
+    /// Enables the differential audit oracle. Every `get`, `put` and
+    /// `remove` is replayed into a textbook model of the replacement:
+    /// per set, the MainWays in LRU order and the DeliWays in FIFO order,
+    /// with DeliWays admission from the model's own sorted copy of the
+    /// chosen set. The kernel must agree with it on hit or miss, the
+    /// region, the entry that left the cache, and both orders of the
+    /// accessed set. Each access also checks that the counters are
+    /// monotone, and each selection epoch that DeliWays occupancy is
+    /// within capacity and that the selection objective is reproducible
+    /// from the candidates. A violation panics at the faulting operation
+    /// with an `audit:` message.
     pub fn enable_audit(&mut self) {
-        let mut mirror = Mirror { resident: vec![BTreeSet::new(); self.config.sets], ops: 0 };
+        let mut model = ReplacementModel::new(&self.config);
+        model.set_chosen(&self.chosen);
         for set in 0..self.config.sets {
-            let base = set * self.config.ways;
-            let mut m = self.valid[set];
-            while m != 0 {
-                let w = m.trailing_zeros() as usize;
-                mirror.resident[set].insert(self.tags[base + w]);
-                m &= m - 1;
+            for (region, first, count) in
+                [(Region::Main, 0, self.main_ways), (Region::Deli, self.main_ways, self.deli_ways)]
+            {
+                for (key, class) in self.ranked(set, first, count) {
+                    if let Some(class) = class {
+                        model.push_oldest(set, region, (key, class));
+                    }
+                }
             }
         }
-        self.mirror = Some(mirror);
-        self.audit = Some(EpochAudit::default());
+        self.audit = Some(Audit {
+            model,
+            ops: 0,
+            accesses: 0,
+            deli_hits: 0,
+            deli_fills: 0,
+            window_accesses: 0,
+            recorded: 0,
+            matched: 0,
+            window_recorded: 0,
+            window_matched: 0,
+            epoch_checks: 0,
+        });
         self.audit_snapshot();
     }
 
-    /// Disables the audit oracle and drops its mirror state.
+    /// Disables the audit oracle and drops its model.
     pub fn disable_audit(&mut self) {
         self.audit = None;
-        self.mirror = None;
     }
 
     /// Whether the audit oracle is currently enabled.
@@ -983,9 +977,10 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.audit.is_some()
     }
 
-    /// Array operations mirrored into the reference model so far.
+    /// Operations (`get`, `put`, `remove`) replayed into the audit model
+    /// so far.
     pub fn audit_ops(&self) -> u64 {
-        self.mirror.as_ref().map_or(0, |m| m.ops)
+        self.audit.as_ref().map_or(0, |a| a.ops)
     }
 
     /// Epoch-level invariant checks performed so far.
@@ -1012,21 +1007,77 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         }
     }
 
-    /// Per-access oracle checks: counters monotone since the last check,
-    /// DeliWays hits within total hits, and both rank regions of the
-    /// accessed `set` still permutations.
+    /// The entries in `count` ways of `set` from way `first` on (one
+    /// region), valid ways only, in rank order: newest first. A valid
+    /// frame without an entry shows as `None`.
+    fn ranked(
+        &self,
+        set: usize,
+        first: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (u64, Option<C>)> + '_ {
+        let base = set * self.config.ways;
+        let mut by_rank = [0; 64];
+        for (way, &rank) in (first..).zip(&self.ranks[base + first..base + first + count]) {
+            by_rank[usize::from(rank)] = way;
+        }
+        by_rank
+            .into_iter()
+            .take(count)
+            .filter(move |&way| self.valid[set] & (1u64 << way) != 0)
+            .map(move |way| {
+                let f = base + way;
+                (self.key_of(set, self.tags[f]), self.entries[f].as_ref().map(|s| s.class))
+            })
+    }
+
+    /// Replays one operation on `key` into the audit model, which must
+    /// report what the kernel did (`got`), then runs the per-access
+    /// checks on the key's set.
     #[cold]
     #[inline(never)]
+    fn audit_replay<T: PartialEq + Debug>(
+        &mut self,
+        op: &str,
+        key: u64,
+        got: T,
+        replay: impl FnOnce(&mut ReplacementModel<C>) -> T,
+    ) {
+        let Some(audit) = &mut self.audit else { return };
+        audit.ops += 1;
+        let want = replay(&mut audit.model);
+        assert!(
+            got == want,
+            "audit: {op}({key:#x}) diverged from the model: the kernel gave {got:?}, \
+             the model {want:?}"
+        );
+        self.audit_access_check(self.set_of(key));
+    }
+
+    /// Per-access oracle checks: both rank regions of `set` are
+    /// permutations whose valid ways, in rank order, hold exactly the
+    /// model's entries in its order; counters are monotone since the last
+    /// check; DeliWays hits are within total hits.
     fn audit_access_check(&mut self, set: usize) {
-        for (region, range) in
-            [("MainWays", self.main_ranks(set)), ("DeliWays", self.deli_ranks(set))]
-        {
-            let ranks = &self.ranks[range];
+        let Some(audit) = &self.audit else { return };
+        let (main, deli) = audit.model.orders(set);
+        for (region, first, count, want) in [
+            ("MainWays", 0, self.main_ways, main),
+            ("DeliWays", self.main_ways, self.deli_ways, deli),
+        ] {
+            let base = set * self.config.ways + first;
+            let ranks = &self.ranks[base..base + count];
             let seen = ranks.iter().fold(0u64, |m, &r| m | 1 << (r & 63));
             assert!(
-                ranks.iter().all(|&r| usize::from(r) < ranks.len())
-                    && seen == low_mask(ranks.len()),
+                ranks.iter().all(|&r| usize::from(r) < count) && seen == low_mask(count),
                 "audit: {region} ranks {ranks:?} of set {set} are not a permutation"
+            );
+            assert!(
+                self.ranked(set, first, count).eq(want.iter().map(|&(key, c)| (key, Some(c)))),
+                "audit: the {region} of set {set} diverged from the model, which holds {want:?} \
+                 newest first; the kernel has ranks {ranks:?} over tags {:?}, valid mask {:#x}",
+                &self.tags[base..base + count],
+                self.valid[set] >> first
             );
         }
         let (hits, misses) = (self.hits, self.misses);
@@ -1189,10 +1240,15 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.chosen_index.lookup(hash, |i| self.chosen[i] == class).is_some()
     }
 
-    /// Replaces the chosen set (sorted and deduplicated) and re-indexes it.
-    fn set_chosen(&mut self, chosen: Vec<C>) {
+    /// Replaces the chosen set with `classes`, sorted and deduplicated,
+    /// and re-indexes it. The audit model keeps a sorted copy of its own.
+    fn set_chosen(&mut self, classes: &[C]) {
+        let chosen = class_set(classes);
         self.chosen_index.reindex(&chosen);
         self.chosen = chosen;
+        if let Some(audit) = &mut self.audit {
+            audit.model.set_chosen(classes);
+        }
     }
 
     /// The outcome of the most recent selection pass.
@@ -1266,7 +1322,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     /// tenant's entries to be retained while gathering evidence); the
     /// normal path is to let the epoch selection decide.
     pub fn force_chosen(&mut self, classes: &[C]) {
-        self.set_chosen(class_set(classes));
+        self.set_chosen(classes);
     }
 }
 
@@ -1423,7 +1479,7 @@ mod tests {
         let (audited, ops, checks) = run(true);
         assert_eq!((ops0, checks0), (0, 0));
         assert_eq!(plain, audited, "auditing must not perturb results");
-        assert!(ops > 0, "mirror must have been exercised");
+        assert!(ops > 0, "the model must have been exercised");
         assert!(checks > 0, "epoch invariants must have been checked");
     }
 
@@ -1480,9 +1536,10 @@ mod tests {
     /// full 64-bit valid mask.
     const PROBE_GEOMETRIES: [(usize, usize); 3] = [(1, 0), (5, 2), (64, 8)];
 
-    /// A 4-set kernel under the audit mirror, which checks every probe
-    /// against its reference residency and panics if a fill duplicates a
-    /// resident tag. Class 1 is chosen and DeliWays hits promote.
+    /// A 4-set kernel under audit, which replays every operation into the
+    /// reference model and panics when the kernel's outcome or either
+    /// order diverges from it. Class 1 is chosen and DeliWays hits
+    /// promote.
     fn audited(ways: usize, deli: usize) -> Kernel {
         let mut config = cfg(4, ways, deli);
         config.promote_on_deli_hit = true;
@@ -1526,14 +1583,38 @@ mod tests {
     #[test]
     fn put_after_its_own_miss_skips_the_probe() {
         for (ways, deli) in PROBE_GEOMETRIES {
-            let mut k = audited(ways, deli);
-            let before = k.audit_ops();
-            assert!(!k.get(set0(1), class(1)).is_hit());
-            assert!(k.put(set0(1), class(1), 7).is_none());
-            // One mirrored probe (the get) and one fill: no second probe.
-            assert_eq!(k.audit_ops() - before, 2, "{ways} ways");
-            assert_eq!(k.peek(set0(1)), Some(&7));
+            let mut k = Kernel::init(cfg(4, ways, deli)).expect("valid config");
+            let key = set0(1);
+            assert!(!k.get(key, class(1)).is_hit());
+            // Behind the kernel's back, plant a copy of the key in MainWay
+            // 0. A probe would find it and replace it in place; a put that
+            // trusts its own miss fills a frame of its own instead.
+            k.tags[0] = k.tag_of(key);
+            k.valid[0] |= 1;
+            k.entries[0] = Some(Stored { class: class(1), value: 1 });
+            let evicted = k.put(key, class(1), 7);
+            assert_eq!(
+                k.len() + usize::from(evicted.is_some()),
+                2,
+                "{ways} ways: the put filled a frame next to the planted copy"
+            );
+            assert_eq!(evicted.map(|e| e.value), (ways - deli == 1).then_some(1));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "audit: put")]
+    fn audit_catches_a_swapped_deli_rank() {
+        let mut k = audited(4, 2);
+        // Keys 0..4 of set 0 leave 0 and 1 in the DeliWays, 0 the oldest.
+        for n in 0..4 {
+            access(&mut k, 1, set0(n));
+        }
+        assert_eq!(k.deli_occupancy(), 2);
+        let deli = k.deli_ranks(0);
+        k.ranks[deli].swap(0, 1);
+        // The next retirement drops key 1 instead of the FIFO head, key 0.
+        k.put(set0(4), class(1), 0);
     }
 
     #[test]

@@ -116,9 +116,10 @@
 //! [`NucacheKernel::set_telemetry`] buffers an [`EpochSummary`] per
 //! selection epoch (chosen classes, objective values, per-class
 //! Next-Use quantiles); [`NucacheKernel::enable_audit`] turns on a
-//! differential oracle that mirrors every array operation into a naive
-//! residency model and checks epoch invariants, panicking at the first
-//! divergence.
+//! differential oracle that replays every `get`, `put` and `remove` into
+//! a textbook model of the replacement (per set, the MainWays in LRU
+//! order and the DeliWays in FIFO order) and checks epoch invariants,
+//! panicking at the first divergence.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -137,6 +138,7 @@ pub mod concurrent;
 pub mod config;
 mod index;
 pub mod kernel;
+mod model;
 pub mod monitor;
 pub mod selector;
 pub mod tracker;
@@ -145,11 +147,11 @@ pub use class::InsertionClass;
 pub use config::{
     ConfigError, KernelConfig, SelectionStrategy, DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN,
     DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS, HISTOGRAM_BUCKETS,
-    MAX_CANDIDATES, ORACLE_POOL,
+    MAX_CANDIDATES,
 };
 pub use kernel::{
     ClassSnapshot, EpochInputs, EpochSummary, Evicted, Lookup, NucacheKernel, Region,
 };
 pub use monitor::NextUseMonitor;
-pub use selector::{build_candidates, select_classes, Candidate, Selection};
+pub use selector::{select_classes, Candidate, Selection};
 pub use tracker::DelinquentTracker;

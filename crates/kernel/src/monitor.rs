@@ -209,7 +209,7 @@ impl<C: Copy + Ord + Debug> NextUseMonitor<C> {
     }
 
     /// All per-class histograms, in class order.
-    pub fn histograms(&self) -> &BTreeMap<C, Log2Histogram> {
+    pub(crate) fn histograms(&self) -> &BTreeMap<C, Log2Histogram> {
         &self.histograms
     }
 

@@ -230,7 +230,7 @@ fn exhaustive<C: Copy + Ord>(
 
 /// Builds candidates from the tracker's top classes and the monitor's
 /// histograms (the glue the kernel uses each epoch).
-pub fn build_candidates<C: Copy + Ord>(
+pub(crate) fn build_candidates<C: Copy + Ord>(
     top: &[(C, u64)],
     histograms: &BTreeMap<C, Log2Histogram>,
 ) -> Vec<Candidate<C>> {

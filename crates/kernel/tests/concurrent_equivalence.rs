@@ -6,7 +6,7 @@
 //!    must produce exactly the serial [`NucacheKernel`]'s outcomes on
 //!    the same access stream — per-access hit/miss, cumulative
 //!    counters, epoch count, chosen classes and selection objective
-//!    (the style of `crates/core/tests/kernel_equivalence.rs`).
+//!    (the style of `model_equivalence.rs`).
 //! 2. **Deferred-selection identity** — property test: a kernel in
 //!    deferred mode whose boundary snapshots are taken, computed
 //!    off-kernel and installed before the next chosen-consulting

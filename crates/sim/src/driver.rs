@@ -145,12 +145,13 @@ pub fn run_mix_telemetry(
 }
 
 /// Simulates `mix` under `scheme` with the differential audit oracle
-/// enabled: every tag-array operation is mirrored into a naive reference
-/// model and cross-checked, and organizations with epoch-level state
-/// (NUcache) verify their epoch invariants as they run. Any divergence
-/// panics at the faulting operation, so a `(result, stats)` return means
-/// the run completed with zero divergences over `stats.array_ops`
-/// mirrored operations.
+/// enabled: every tag-array operation (NUcache: every kernel `get`,
+/// `put` and `remove`) is replayed into a reference model and
+/// cross-checked, and organizations with epoch-level state (NUcache)
+/// verify their epoch invariants as they run. Any divergence panics at
+/// the faulting operation, so a `(result, stats)` return means the run
+/// completed with zero divergences over `stats.array_ops` checked
+/// operations.
 ///
 /// The result is bit-identical to [`run_mix`]'s for the same inputs —
 /// the oracle observes, it never steers.

@@ -182,8 +182,8 @@ fn two_misses_then_two_puts_of_one_key_leave_it_resident_once() {
     let stats = Explorer::with_bound(DEFAULT_PREEMPTION_BOUND).explore(|| {
         let config = KernelConfig::default().with_sets(4).with_ways(4).with_deli_ways(2);
         let mut kernel = NucacheKernel::init(config).expect("valid config");
-        // The audit mirror checks every probe and panics on a fill that
-        // duplicates a resident tag.
+        // The audit replays every operation into the reference model and
+        // panics when a put fills a key that is already resident.
         kernel.enable_audit();
         let shard = Arc::new(Mutex::new(kernel));
         let t1 = {
