@@ -8,7 +8,7 @@
 //! injects failures at well-known sites:
 //!
 //! * [`FaultSite::WorkerPanic`] — a simulation job panics in its worker
-//!   thread (exercises panic isolation and per-job retry in the runner);
+//!   thread (exercises panic isolation in the runner);
 //! * [`FaultSite::TelemetryCreate`] — creating a JSONL event stream
 //!   fails (exercises the degrade-to-Null-sink path);
 //! * [`FaultSite::TelemetryWrite`] — writing an event stream fails
@@ -18,8 +18,9 @@
 //!
 //! Decisions are a pure function of `(plan seed, site, index)` — the
 //! same plan always fails the same jobs — so a faulted run is exactly as
-//! reproducible as a clean one, and retrying an injected failure fails
-//! again (injection models a deterministic bug, not a transient blip).
+//! reproducible as a clean one, and re-running an injected failure
+//! fails again (injection models a deterministic bug, not a transient
+//! blip).
 //!
 //! A plan is passed explicitly to whatever injects it (the simulation
 //! runner, the load generator), from their `--inject-faults SEED`

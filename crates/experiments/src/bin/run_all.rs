@@ -77,10 +77,8 @@ fn run_steps(runner: &Runner) {
         div => format!(", quick /{div}"),
     };
     eprintln!(
-        "[run_all] using {jobs} worker thread{}, {} retr{}{watchdog}{quick}",
+        "[run_all] using {jobs} worker thread{}{watchdog}{quick}",
         if jobs == 1 { "" } else { "s" },
-        policy.max_retries,
-        if policy.max_retries == 1 { "y" } else { "ies" },
     );
 
     let t0 = Instant::now();
@@ -107,7 +105,6 @@ fn run_steps(runner: &Runner) {
                     stage: name.to_string(),
                     job: None,
                     index: None,
-                    attempts: 1,
                     message: panic_message(payload.as_ref()),
                 });
             }

@@ -217,7 +217,6 @@ pub fn finish_run(
             stage: name.to_string(),
             job: None,
             index: None,
-            attempts: 1,
             message: panic_message(payload.as_ref()),
         });
     }

@@ -10,7 +10,7 @@ use std::process::Command;
 
 /// What `run_all --inject-faults` leaves next to its partial CSVs.
 const RUN_ALL_FAILED: &str = r#"{"run_all": [{"stage": "fig5_dual_core",
-    "job": "mix2_03/nucache-d8", "index": 7, "attempts": 3,
+    "job": "mix2_03/nucache-d8", "index": 7,
     "message": "injected fault: worker panic (plan seed 42)"}]}"#;
 
 /// Writes `before` as `out`'s `failures.json`, runs the clean

@@ -48,8 +48,9 @@
 //!   [`Runner::try_run_jobs`] return a per-item `Result`, so one
 //!   panicking job is recorded as a [`JobFailure`] while the rest of the
 //!   batch completes;
-//! * a [`JobPolicy`] adds bounded per-job retry and a wall-clock
-//!   watchdog that flags (never kills) stuck jobs;
+//! * a [`JobPolicy`] adds a wall-clock watchdog that flags (never
+//!   kills) stuck jobs; a failed job is not retried, since every job is
+//!   a pure function of its inputs and would fail again;
 //! * telemetry I/O errors degrade (dropped stream, single stderr
 //!   warning, manifest note) rather than abort — simulation results are
 //!   never affected;

@@ -11,9 +11,10 @@
 //!   matter which worker finished when;
 //! * [`try_parallel_map`] is its fault-tolerant core: each job runs
 //!   under `catch_unwind`, so a panicking job is recorded as a per-item
-//!   [`JobFailure`] (index, attempts, message) while the other workers
-//!   keep draining the queue; a [`JobPolicy`] adds bounded per-job retry
-//!   and a wall-clock watchdog that *flags* (never kills) stuck jobs;
+//!   [`JobFailure`] (index, message) while the other workers keep
+//!   draining the queue; a [`JobPolicy`] adds a wall-clock watchdog
+//!   that *flags* (never kills) stuck jobs. A failed job is not retried:
+//!   it is a pure function of its inputs, so it would fail again;
 //! * [`Runner`] owns everything one run shares: the worker count, the
 //!   policy, the fault plan, the telemetry directory, one job counter
 //!   for every stream name and fault decision, a thread-safe memo of
@@ -62,10 +63,6 @@ pub const DEFAULT_WATCHDOG_SECS: u64 = 120;
 /// Fault-handling knobs for [`try_parallel_map`] and [`Runner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobPolicy {
-    /// Extra attempts after a job's first panic (0 = fail immediately).
-    /// Retries target transient failures; a deterministic panic fails
-    /// every attempt and is recorded with its final attempt count.
-    pub max_retries: u32,
     /// Wall-clock seconds after which an in-flight job is flagged as
     /// stuck (warned and noted in the run manifest — never killed, since
     /// a slow simulation still produces a correct result). `None`
@@ -75,7 +72,7 @@ pub struct JobPolicy {
 
 impl Default for JobPolicy {
     fn default() -> Self {
-        JobPolicy { max_retries: 1, watchdog_secs: Some(DEFAULT_WATCHDOG_SECS) }
+        JobPolicy { watchdog_secs: Some(DEFAULT_WATCHDOG_SECS) }
     }
 }
 
@@ -104,20 +101,18 @@ impl JobPolicy {
     }
 }
 
-/// A job that kept panicking through every attempt its policy allowed.
+/// A job that panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// Index of the failed item in the input slice.
     pub index: usize,
-    /// Attempts made (1 + retries taken).
-    pub attempts: u64,
-    /// The panic message of the final attempt.
+    /// The panic message.
     pub message: String,
 }
 
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} failed after {} attempt(s): {}", self.index, self.attempts, self.message)
+        write!(f, "job {} failed: {}", self.index, self.message)
     }
 }
 
@@ -158,30 +153,14 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "panic with non-string payload".to_string())
 }
 
-/// Runs one item under `catch_unwind`, retrying per `policy`.
-fn run_attempts<T, R>(
-    policy: &JobPolicy,
+/// Runs one item under `catch_unwind`.
+fn run_isolated<T, R>(
     index: usize,
     item: &T,
     f: &(impl Fn(&T) -> R + Sync),
 ) -> Result<R, JobFailure> {
-    let attempts = u64::from(policy.max_retries) + 1;
-    let mut message = String::new();
-    for attempt in 1..=attempts {
-        match catch_unwind(AssertUnwindSafe(|| f(item))) {
-            Ok(result) => return Ok(result),
-            Err(payload) => {
-                message = panic_message(payload.as_ref());
-                if attempt < attempts {
-                    eprintln!(
-                        "[runner] job {index} panicked (attempt {attempt} of {attempts}): \
-                         {message}; retrying"
-                    );
-                }
-            }
-        }
-    }
-    Err(JobFailure { index, attempts, message })
+    catch_unwind(AssertUnwindSafe(|| f(item)))
+        .map_err(|payload| JobFailure { index, message: panic_message(payload.as_ref()) })
 }
 
 /// Applies `f` to every item on up to `jobs` worker threads with full
@@ -189,17 +168,16 @@ fn run_attempts<T, R>(
 ///
 /// Items are claimed through a shared atomic cursor (cheap work
 /// stealing: a worker stuck on a slow job doesn't hold up the queue).
-/// Each job runs under `catch_unwind`: a panic is caught, retried up to
-/// `policy.max_retries` times, and finally recorded as a [`JobFailure`]
-/// carrying the item index and panic message — the remaining items are
-/// unaffected and always run to completion. With `policy.watchdog_secs`
+/// Each job runs under `catch_unwind`: a panic is caught and recorded as
+/// a [`JobFailure`] carrying the item index and panic message — the
+/// remaining items are unaffected and always run to completion. With `policy.watchdog_secs`
 /// set, a monitor thread flags (warns about, but never kills) jobs
 /// whose wall-clock time exceeds the threshold; the flags are reported
 /// in [`ParallelReport::stuck`]. Wall time is observed only for
 /// flagging — it cannot influence any result.
 ///
 /// With `jobs <= 1` or a single item the map runs inline on the
-/// caller's thread (panic isolation and retry still apply; the watchdog
+/// caller's thread (panic isolation still applies; the watchdog
 /// does not, as there is no second thread to observe from).
 pub fn try_parallel_map<T, R, F>(
     jobs: usize,
@@ -213,8 +191,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     if jobs <= 1 || items.len() <= 1 {
-        let results =
-            items.iter().enumerate().map(|(i, item)| run_attempts(policy, i, item, &f)).collect();
+        let results = items.iter().enumerate().map(|(i, item)| run_isolated(i, item, &f)).collect();
         return ParallelReport { results, stuck: Vec::new() };
     }
     let workers = jobs.min(items.len());
@@ -237,7 +214,7 @@ where
                 #[expect(clippy::disallowed_types, reason = "watchdog flagging only")]
                 let now = std::time::Instant::now();
                 *started[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(now);
-                let result = run_attempts(policy, i, item, &f);
+                let result = run_isolated(i, item, &f);
                 *started[i].lock().unwrap_or_else(PoisonError::into_inner) = None;
                 *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                 completed.fetch_add(1, Ordering::Release);
@@ -295,7 +272,7 @@ where
 /// results in input order.
 ///
 /// This is the infallible façade over [`try_parallel_map`] with no
-/// retries and no watchdog: scheduling is identical, output order never
+/// watchdog: scheduling is identical, output order never
 /// depends on it, and with `jobs <= 1` or a single item the map runs
 /// inline on the caller's thread.
 ///
@@ -309,8 +286,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let policy = JobPolicy { max_retries: 0, watchdog_secs: None };
-    let report = try_parallel_map(jobs, items, &policy, f);
+    let report = try_parallel_map(jobs, items, &JobPolicy { watchdog_secs: None }, f);
     report
         .results
         .into_iter()
@@ -417,7 +393,7 @@ impl Runner {
         self
     }
 
-    /// Overrides the retry/watchdog policy.
+    /// Overrides the watchdog policy.
     pub fn with_policy(mut self, policy: JobPolicy) -> Self {
         self.policy = policy;
         self
@@ -447,7 +423,7 @@ impl Runner {
         self.jobs
     }
 
-    /// The retry/watchdog policy in use.
+    /// The watchdog policy in use.
     pub const fn policy(&self) -> &JobPolicy {
         &self.policy
     }
@@ -555,7 +531,7 @@ impl Runner {
     /// Simulates every (mix, scheme) job under `config` with panic
     /// isolation, returning one `Result` per job in submission order.
     ///
-    /// A job that panics (after the policy's retries) yields an `Err`
+    /// A job that panics yields an `Err`
     /// with its index and panic message; every other job completes and
     /// yields its result — one poisoned mix cannot discard a batch. Each
     /// failure is also recorded in this runner's failure log
@@ -606,7 +582,6 @@ impl Runner {
                         stage: "job".to_string(),
                         job: Some(format!("{}/{}", mix.name(), scheme.name())),
                         index: Some((base + i) as u64),
-                        attempts: failure.attempts,
                         message: failure.message.clone(),
                     });
                     JobFailure { index: i, ..failure }
@@ -705,7 +680,7 @@ mod tests {
     #[test]
     fn try_parallel_map_isolates_panics() {
         let items: Vec<u64> = (0..40).collect();
-        let policy = JobPolicy { max_retries: 0, watchdog_secs: None };
+        let policy = JobPolicy { watchdog_secs: None };
         let report = try_parallel_map(4, &items, &policy, |&x| {
             assert!(!x.is_multiple_of(7), "injected test panic on {x}");
             x * 3
@@ -715,7 +690,6 @@ mod tests {
             if (i as u64).is_multiple_of(7) {
                 let failure = result.as_ref().expect_err("multiples of 7 panic");
                 assert_eq!(failure.index, i);
-                assert_eq!(failure.attempts, 1);
                 assert!(failure.message.contains("injected test panic"), "{}", failure.message);
             } else {
                 assert_eq!(result.as_ref().ok(), Some(&(i as u64 * 3)));
@@ -724,39 +698,23 @@ mod tests {
     }
 
     #[test]
-    fn retries_are_bounded_and_counted() {
+    fn a_failed_job_runs_once() {
         use std::sync::atomic::AtomicU64;
         let calls = AtomicU64::new(0);
         let items = [0u64];
-        let policy = JobPolicy { max_retries: 2, watchdog_secs: None };
-        let report = try_parallel_map(1, &items, &policy, |_| -> u64 {
+        let report = try_parallel_map(1, &items, &JobPolicy::default(), |_| -> u64 {
             calls.fetch_add(1, Ordering::Relaxed);
             panic!("always fails");
         });
         let failure = report.results[0].as_ref().expect_err("job always panics");
-        assert_eq!(failure.attempts, 3, "1 initial + 2 retries");
-        assert_eq!(calls.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn retry_recovers_transient_panics() {
-        use std::sync::atomic::AtomicU64;
-        let calls = AtomicU64::new(0);
-        let items = [7u64];
-        let policy = JobPolicy { max_retries: 1, watchdog_secs: None };
-        let report = try_parallel_map(1, &items, &policy, |&x| {
-            if calls.fetch_add(1, Ordering::Relaxed) == 0 {
-                panic!("transient");
-            }
-            x
-        });
-        assert_eq!(report.results[0].as_ref().ok(), Some(&7));
+        assert_eq!(failure.message, "always fails");
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry");
     }
 
     #[test]
     fn watchdog_flags_but_does_not_kill() {
         let items: Vec<u64> = vec![0, 1, 2, 3];
-        let policy = JobPolicy { max_retries: 0, watchdog_secs: Some(0) };
+        let policy = JobPolicy { watchdog_secs: Some(0) };
         let report = try_parallel_map(4, &items, &policy, |&x| {
             if x == 2 {
                 // A deliberately slow (test-only) job the zero-second
@@ -925,7 +883,6 @@ mod tests {
                 stage: "job".into(),
                 job: Some(job.into()),
                 index: Some(index),
-                attempts: 1,
                 message: "boom".into(),
             });
         }

@@ -30,8 +30,8 @@ use std::path::{Path, PathBuf};
 /// events interleave at comparable cadence.
 pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 100_000;
 
-/// One failed pipeline unit — a simulation job that kept panicking, or
-/// an experiment step that aborted — recorded for the run manifest's
+/// One failed pipeline unit — a simulation job that panicked, or an
+/// experiment step that aborted — recorded for the run manifest's
 /// `failures` section instead of being lost with the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureRecord {
@@ -42,8 +42,6 @@ pub struct FailureRecord {
     pub job: Option<String>,
     /// Index of the failed job within its run, when job-level.
     pub index: Option<u64>,
-    /// How many times the unit was attempted before being given up on.
-    pub attempts: u64,
     /// The panic or error message.
     pub message: String,
 }
@@ -56,7 +54,6 @@ impl FailureRecord {
             ("stage", self.stage.as_str().into()),
             ("job", self.job.as_deref().map_or(JsonValue::Null, JsonValue::from)),
             ("index", self.index.map_or(JsonValue::Null, JsonValue::from)),
-            ("attempts", self.attempts.into()),
             ("message", self.message.as_str().into()),
         ])
     }
@@ -317,7 +314,6 @@ mod tests {
                 stage: "fig5".into(),
                 job: Some("mix2_01/nucache-d8".into()),
                 index: Some(3),
-                attempts: 2,
                 message: "injected fault: worker-panic at index 3".into(),
             }],
             notes: vec!["telemetry stream lost".into()],
@@ -337,7 +333,7 @@ mod tests {
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].get("stage").unwrap().as_str(), Some("fig5"));
         assert_eq!(failures[0].get("index").unwrap().as_u64(), Some(3));
-        assert_eq!(failures[0].get("attempts").unwrap().as_u64(), Some(2));
+        assert_eq!(failures[0].get("attempts"), None);
         assert!(failures[0].get("message").unwrap().as_str().unwrap().contains("injected fault"));
         let notes = parsed.get("notes").unwrap().as_arr().unwrap();
         assert_eq!(notes.len(), 1);
