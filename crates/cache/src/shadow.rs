@@ -17,6 +17,10 @@ use crate::meta::LineMeta;
 use nucache_common::tags::{rank_oldest, rank_touch};
 use nucache_common::{CoreId, LineAddr, Pc};
 
+/// Set-sampling shift of the UCP and PIPP UMONs (1 set in 32); Tables 1
+/// and 4 read it too.
+pub const DEFAULT_UMON_SHIFT: u32 = 5;
+
 /// A set-sampled, fully-LRU shadow tag directory with per-rank hit
 /// counters (UMON-DSS).
 ///

@@ -5,6 +5,7 @@
 //! tags where the literature uses them. The absolute numbers are
 //! estimates; the comparison across schemes is what the table shows.
 
+use nucache_cache::shadow::DEFAULT_UMON_SHIFT;
 use nucache_cache::CacheGeometry;
 use nucache_kernel::{KernelConfig, HISTOGRAM_BUCKETS, MAX_CANDIDATES};
 
@@ -64,12 +65,13 @@ pub fn nucache_overhead(geom: &CacheGeometry, config: &KernelConfig) -> Overhead
     }
 }
 
-/// UCP: per-line core-id; per-core sampled shadow directory with
-/// per-rank counters.
-pub fn ucp_overhead(geom: &CacheGeometry, num_cores: usize, umon_shift: u32) -> Overhead {
+/// UCP: per-line core-id; per-core shadow directory over one set in
+/// `2^DEFAULT_UMON_SHIFT`, the simulated UMONs' sampling, with per-rank
+/// counters.
+pub fn ucp_overhead(geom: &CacheGeometry, num_cores: usize) -> Overhead {
     let lines = geom.num_lines() as u64;
     let core_bits = (num_cores as u64).next_power_of_two().trailing_zeros().max(1) as u64;
-    let sampled_sets = (geom.num_sets() >> umon_shift).max(1) as u64;
+    let sampled_sets = (geom.num_sets() >> DEFAULT_UMON_SHIFT).max(1) as u64;
     let per_core = sampled_sets * geom.associativity() as u64 * PARTIAL_TAG_BITS
         + geom.associativity() as u64 * 32;
     Overhead {
@@ -81,8 +83,8 @@ pub fn ucp_overhead(geom: &CacheGeometry, num_cores: usize, umon_shift: u32) -> 
 
 /// PIPP: UCP's monitors plus per-set position stacks (modelled as
 /// log2(assoc) bits per line) and stream-detection flags.
-pub fn pipp_overhead(geom: &CacheGeometry, num_cores: usize, umon_shift: u32) -> Overhead {
-    let base = ucp_overhead(geom, num_cores, umon_shift);
+pub fn pipp_overhead(geom: &CacheGeometry, num_cores: usize) -> Overhead {
+    let base = ucp_overhead(geom, num_cores);
     let lines = geom.num_lines() as u64;
     let pos_bits = (geom.associativity() as u64).next_power_of_two().trailing_zeros() as u64;
     Overhead {
@@ -116,8 +118,8 @@ mod tests {
     fn all_overheads_positive_and_small() {
         let g = geom();
         let n = nucache_overhead(&g, &KernelConfig::default());
-        let u = ucp_overhead(&g, 4, 5);
-        let p = pipp_overhead(&g, 4, 5);
+        let u = ucp_overhead(&g, 4);
+        let p = pipp_overhead(&g, 4);
         let t = tadip_overhead(&g, 4);
         for o in [n, u, p, t] {
             assert!(o.total_bits() > 0);
@@ -129,15 +131,15 @@ mod tests {
     fn tadip_is_cheapest() {
         let g = geom();
         let t = tadip_overhead(&g, 4).total_bits();
-        assert!(t < ucp_overhead(&g, 4, 5).total_bits());
+        assert!(t < ucp_overhead(&g, 4).total_bits());
         assert!(t < nucache_overhead(&g, &KernelConfig::default()).total_bits());
-        assert!(t < pipp_overhead(&g, 4, 5).total_bits());
+        assert!(t < pipp_overhead(&g, 4).total_bits());
     }
 
     #[test]
     fn pipp_extends_ucp() {
         let g = geom();
-        assert!(pipp_overhead(&g, 4, 5).total_bits() > ucp_overhead(&g, 4, 5).total_bits());
+        assert!(pipp_overhead(&g, 4).total_bits() > ucp_overhead(&g, 4).total_bits());
     }
 
     #[test]
@@ -149,8 +151,8 @@ mod tests {
     #[test]
     fn ucp_monitor_scales_with_cores() {
         let g = geom();
-        let u2 = ucp_overhead(&g, 2, 5).monitor_bits;
-        let u8 = ucp_overhead(&g, 8, 5).monitor_bits;
+        let u2 = ucp_overhead(&g, 2).monitor_bits;
+        let u8 = ucp_overhead(&g, 8).monitor_bits;
         assert_eq!(u8, 4 * u2);
     }
 }

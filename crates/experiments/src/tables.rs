@@ -2,12 +2,12 @@
 
 use crate::{emit, run_lengths};
 use nucache_cache::config::DEFAULT_BLOCK_BYTES;
+use nucache_cache::shadow::DEFAULT_UMON_SHIFT;
 use nucache_common::table::{f2, f3, Table};
 use nucache_common::CoreId;
 use nucache_core::overhead::{nucache_overhead, pipp_overhead, tadip_overhead, ucp_overhead};
 use nucache_core::{KernelConfig, MAX_CANDIDATES};
 use nucache_cpu::{L1_HIT_LATENCY, L2_HIT_LATENCY, LLC_HIT_LATENCY, MEMORY_LATENCY};
-use nucache_partition::ucp::DEFAULT_UMON_SHIFT;
 use nucache_sim::config::{BASELINE_LLC_BYTES_PER_CORE, BASELINE_LLC_WAYS};
 use nucache_sim::runner::{parallel_map, Runner};
 use nucache_sim::scheme::PARTITION_EPOCH;
@@ -125,8 +125,8 @@ pub fn table4(runner: &Runner) {
         let geom = SimConfig::baseline(cores).llc;
         let rows = [
             ("nucache", nucache_overhead(&geom, &KernelConfig::default())),
-            ("ucp", ucp_overhead(&geom, cores, DEFAULT_UMON_SHIFT)),
-            ("pipp", pipp_overhead(&geom, cores, DEFAULT_UMON_SHIFT)),
+            ("ucp", ucp_overhead(&geom, cores)),
+            ("pipp", pipp_overhead(&geom, cores)),
             ("tadip", tadip_overhead(&geom, cores)),
         ];
         for (name, o) in rows {

@@ -10,9 +10,8 @@
 //! immediate victim candidates.
 
 use crate::lookahead::lookahead_partition;
-use crate::ucp::DEFAULT_UMON_SHIFT;
 use nucache_cache::meta::{AccessOutcome, LineMeta};
-use nucache_cache::shadow::UtilityMonitor;
+use nucache_cache::shadow::{UtilityMonitor, DEFAULT_UMON_SHIFT};
 use nucache_cache::{AuditStats, CacheGeometry, SetArray, SharedLlc};
 use nucache_common::tags::{rank_insert, rank_oldest, rank_promote};
 use nucache_common::{AccessKind, CacheStats, CoreId, DetRng, LineAddr, Pc};

@@ -11,13 +11,10 @@
 
 use crate::lookahead::lookahead_partition;
 use nucache_cache::meta::{AccessOutcome, LineMeta};
-use nucache_cache::shadow::UtilityMonitor;
+use nucache_cache::shadow::{UtilityMonitor, DEFAULT_UMON_SHIFT};
 use nucache_cache::{AuditStats, CacheGeometry, SetArray, SharedLlc};
 use nucache_common::tags::{rank_oldest, rank_oldest_in, rank_touch};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
-
-/// Set-sampling shift of the UCP and PIPP UMONs (1 set in 32).
-pub const DEFAULT_UMON_SHIFT: u32 = 5;
 
 /// A UCP-managed shared LLC.
 ///
