@@ -31,16 +31,6 @@ pub struct AuditStats {
     pub epoch_checks: u64,
 }
 
-impl AuditStats {
-    /// Sums two reports (e.g. array + organization-level counters).
-    pub const fn merged(self, other: AuditStats) -> AuditStats {
-        AuditStats {
-            array_ops: self.array_ops + other.array_ops,
-            epoch_checks: self.epoch_checks + other.epoch_checks,
-        }
-    }
-}
-
 /// The textbook tag array: one `Option<LineMeta>` per frame, linear
 /// scans, no bit tricks.
 ///
@@ -180,12 +170,5 @@ mod tests {
         let ev = arr.fill(2, 0, meta(6)).expect("displaces tag 5");
         assert_eq!(ev.line, geom.line_of(5, 2));
         assert_eq!(arr.line_addr(2, 0), Some(geom.line_of(6, 2)));
-    }
-
-    #[test]
-    fn stats_merge() {
-        let a = AuditStats { array_ops: 3, epoch_checks: 1 };
-        let b = AuditStats { array_ops: 2, epoch_checks: 0 };
-        assert_eq!(a.merged(b), AuditStats { array_ops: 5, epoch_checks: 1 });
     }
 }

@@ -22,7 +22,7 @@ use nucache_cache::{AuditStats, CacheGeometry, SharedLlc};
 use nucache_common::telemetry::{Event, PcSnapshot};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 use nucache_kernel::{
-    DelinquentTracker, Evicted, KernelConfig, Lookup, NextUseMonitor, NucacheKernel, Selection,
+    DelinquentTracker, Evicted, KernelConfig, Lookup, NextUseMonitor, NucacheKernel,
 };
 
 /// Per-line simulator state stored as the kernel's value type.
@@ -87,9 +87,9 @@ impl NuCache {
     /// Enables the differential audit oracle: the kernel replays every
     /// `get`, `put` and `remove` into a reference model of its
     /// replacement (MainWays LRU, DeliWays FIFO of chosen PCs' victims)
-    /// and each selection epoch verifies NUcache's invariants (DeliWays
-    /// occupancy within capacity, monotone counters, selection objective
-    /// reproducible from the candidates); see
+    /// and each selection epoch verifies NUcache's invariants (monotone
+    /// counters, monitor matches within recorded evictions, selection
+    /// objective reproducible from the candidates); see
     /// [`NucacheKernel::enable_audit`]. The adapter additionally
     /// cross-checks per-core stats attribution against the aggregate on
     /// every access. Violations panic at the faulting operation.
@@ -131,11 +131,6 @@ impl NuCache {
         self.kernel.chosen_classes()
     }
 
-    /// The outcome of the most recent selection pass.
-    pub const fn last_selection(&self) -> &Selection<Pc> {
-        self.kernel.last_selection()
-    }
-
     /// Completed selection epochs.
     pub const fn epochs(&self) -> u64 {
         self.kernel.epochs()
@@ -159,12 +154,6 @@ impl NuCache {
     /// Read access to the Next-Use monitor (Fig. 2 uses this).
     pub const fn monitor(&self) -> &NextUseMonitor<Pc> {
         self.kernel.monitor()
-    }
-
-    /// Access denominator the selector pairs with the PCs' combined fills
-    /// (global accesses in the decay window).
-    pub fn selection_accesses(&self) -> u64 {
-        self.kernel.selection_accesses()
     }
 
     /// Valid lines currently resident in the DeliWays across all sets.

@@ -65,9 +65,8 @@ pub fn nucache_overhead(geom: &CacheGeometry, config: &KernelConfig) -> Overhead
     }
 }
 
-/// UCP: per-line core-id; per-core shadow directory over one set in
-/// `2^DEFAULT_UMON_SHIFT`, the simulated UMONs' sampling, with per-rank
-/// counters.
+/// UCP: per-line core-id; per-core sampled shadow directory with
+/// per-rank counters.
 pub fn ucp_overhead(geom: &CacheGeometry, num_cores: usize) -> Overhead {
     let lines = geom.num_lines() as u64;
     let core_bits = (num_cores as u64).next_power_of_two().trailing_zeros().max(1) as u64;

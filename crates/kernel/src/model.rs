@@ -28,10 +28,6 @@ use alloc::vec::Vec;
 /// A resident entry: its key and insertion class.
 pub(crate) type Entry<C> = (u64, C);
 
-/// What a `get` found: the region it hit in, if any, and the entry a
-/// promotion pushed out of the cache.
-pub(crate) type GetOutcome<C> = (Option<Region>, Option<Entry<C>>);
-
 /// Per-set MainWays and DeliWays lists, newest first.
 #[derive(Debug, Clone)]
 pub(crate) struct ReplacementModel<C> {
@@ -129,8 +125,9 @@ impl<C: Copy + Ord> ReplacementModel<C> {
         self.retire(set, victim)
     }
 
-    /// A `get` of `key`.
-    pub(crate) fn on_get(&mut self, key: u64) -> GetOutcome<C> {
+    /// A `get` of `key`. Returns the region it hit in, if any, and the
+    /// entry a promotion pushed out of the cache.
+    pub(crate) fn on_get(&mut self, key: u64) -> (Option<Region>, Option<Entry<C>>) {
         let set = self.set_of(key);
         if let Some(i) = position(&self.main[set], key) {
             let entry = self.main[set].remove(i);
@@ -172,74 +169,5 @@ impl<C: Copy + Ord> ReplacementModel<C> {
             return Some(self.main[set].remove(i));
         }
         position(&self.deli[set], key).map(|i| self.deli[set].remove(i))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One set of 2 MainWays and 2 DeliWays, class 1 chosen.
-    fn model(promote: bool, refresh: bool) -> ReplacementModel<u64> {
-        let mut config = KernelConfig::default().with_sets(1).with_ways(4).with_deli_ways(2);
-        config.promote_on_deli_hit = promote;
-        config.deli_hit_refresh = refresh;
-        let mut m = ReplacementModel::new(&config);
-        m.set_chosen(&[1]);
-        m
-    }
-
-    #[test]
-    fn main_is_lru_and_deli_is_fifo_of_chosen_victims() {
-        let mut m = model(false, false);
-        assert_eq!(m.on_put(1, 1), None);
-        assert_eq!(m.on_put(2, 1), None);
-        assert_eq!(m.on_get(1), (Some(Region::Main), None));
-        // Key 2 is the LRU entry: it retires into the DeliWays.
-        assert_eq!(m.on_put(3, 1), None);
-        assert_eq!(m.on_put(4, 2), None);
-        assert_eq!(m.orders(0), (&[(4, 2), (3, 1)][..], &[(1, 1), (2, 1)][..]));
-        // The FIFO is full: the next chosen victim drops its oldest, key 2.
-        assert_eq!(m.on_put(5, 1), Some((2, 1)));
-        // An unchosen victim leaves the cache.
-        assert_eq!(m.on_put(6, 1), Some((4, 2)));
-        assert_eq!(m.on_get(1), (Some(Region::Deli), None));
-        assert_eq!(m.orders(0).1, &[(3, 1), (1, 1)][..], "no refresh: the FIFO keeps its order");
-    }
-
-    #[test]
-    fn deli_hits_promote_or_refresh() {
-        let mut promoting = model(true, false);
-        for key in 1..=3 {
-            promoting.on_put(key, 1);
-        }
-        promoting.on_put(4, 2);
-        // MainWays [4, 3], DeliWays [2, 1]; key 1 moves to the MainWays,
-        // whose LRU entry, key 3, takes its place.
-        assert_eq!(promoting.on_get(1), (Some(Region::Deli), None));
-        assert_eq!(promoting.orders(0), (&[(1, 1), (4, 2)][..], &[(3, 1), (2, 1)][..]));
-        // Promoting key 2 retires key 4, whose class is not chosen.
-        assert_eq!(promoting.on_get(2), (Some(Region::Deli), Some((4, 2))));
-
-        let mut refreshing = model(false, true);
-        for key in 1..=4 {
-            refreshing.on_put(key, 1);
-        }
-        assert_eq!(refreshing.on_get(1), (Some(Region::Deli), None));
-        assert_eq!(refreshing.orders(0).1, &[(1, 1), (2, 1)][..]);
-    }
-
-    #[test]
-    fn put_of_a_resident_key_and_remove() {
-        let mut m = model(false, false);
-        m.on_put(1, 1);
-        m.on_put(2, 1);
-        m.on_put(3, 1);
-        assert_eq!(m.on_put(1, 2), None, "a resident key is replaced in place");
-        assert_eq!(m.orders(0), (&[(3, 1), (2, 1)][..], &[(1, 2)][..]));
-        assert_eq!(m.on_remove(1), Some((1, 2)));
-        assert_eq!(m.on_remove(1), None);
-        assert_eq!(m.on_remove(2), Some((2, 1)));
-        assert_eq!(m.orders(0), (&[(3, 1)][..], &[][..]));
     }
 }

@@ -7,24 +7,18 @@
 //! DeliWays in FIFO order, with DeliWays admission from the model's own
 //! copy of the chosen set). The kernel must agree with the model on hit
 //! or miss, the region, the entry that left the cache and both orders of
-//! the set; a divergence panics with an `audit:` message. On top of
-//! that, every value a hit returns or an entry leaves with must be the
-//! last one stored under its key, and the epoch count, the epoch checks
-//! and the replayed operations must match the stream.
+//! the set; a divergence panics with an `audit:` message. The streams
+//! mix get-then-put accesses, accesses that also overwrite a hit in
+//! place (possibly with another class) and removes.
 //!
-//! The streams mix get-then-put accesses, accesses that also overwrite a
-//! hit in place (possibly with another class) and removes. The epoch
-//! sequencing the old suite compared against its copy of the pre-kernel
-//! code (tick, snapshot, decay, install) is pinned by the matching rows
-//! of `golden_kernel.rs`.
+//! The epoch sequencing the old suite compared against its copy of the
+//! pre-kernel code (tick, snapshot, decay, install) is pinned by the
+//! matching rows of `golden_kernel.rs`.
 
 #![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
 
-use nucache_kernel::{
-    Evicted, InsertionClass, KernelConfig, Lookup, NucacheKernel, SelectionStrategy,
-};
+use nucache_kernel::{InsertionClass, KernelConfig, NucacheKernel, SelectionStrategy};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// What a step does with its key.
 #[derive(Debug, Clone, Copy)]
@@ -37,25 +31,19 @@ enum Kind {
     Remove,
 }
 
-/// One operation of a stream.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    class: u64,
-    key: u64,
-    kind: Kind,
-}
+/// One operation of a stream: its class, key and kind.
+type Step = (u64, u64, Kind);
 
 /// Steps by 6 classes over keys below `keys`: half reads, 7 in 16
 /// writes, 1 in 16 removes.
 fn step_strategy(keys: u64) -> impl Strategy<Value = Step> {
-    (0u64..6, 0..keys, 0u8..16).prop_map(|(class, key, kind)| Step {
-        class,
-        key,
-        kind: match kind {
+    (0u64..6, 0..keys, 0u8..16).prop_map(|(class, key, kind)| {
+        let kind = match kind {
             0 => Kind::Remove,
             1..=7 => Kind::Write,
             _ => Kind::Read,
-        },
+        };
+        (class, key, kind)
     })
 }
 
@@ -81,81 +69,31 @@ fn small(sets: usize, ways: usize, deli: usize, epoch_len: u64) -> KernelConfig 
     config
 }
 
-/// An audited kernel and the last value stored under each key.
-struct Audited {
-    kernel: NucacheKernel<u64>,
-    stored: BTreeMap<u64, u64>,
-    gets: u64,
-    ops: u64,
-}
-
-impl Audited {
-    fn new(config: KernelConfig) -> Self {
-        let mut kernel = NucacheKernel::init(config).expect("valid config");
-        kernel.enable_audit();
-        Audited { kernel, stored: BTreeMap::new(), gets: 0, ops: 0 }
-    }
-
-    /// Checks that an entry leaving the cache carries the last value
-    /// stored under its key.
-    fn left(&self, evicted: Option<Evicted<u64, InsertionClass>>) {
-        if let Some(e) = evicted {
-            assert_eq!(Some(&e.value), self.stored.get(&e.key), "{e:?} left with a stale value");
+/// Runs `steps` through a kernel built from `config` with audit on, then
+/// checks that every `get` counted, every epoch ran its checks and every
+/// operation was replayed.
+fn run(config: KernelConfig, steps: impl IntoIterator<Item = Step>) -> NucacheKernel<u64> {
+    let mut k = NucacheKernel::init(config).expect("valid config");
+    k.enable_audit();
+    let (mut gets, mut ops) = (0, 0);
+    for (value, (class, key, kind)) in (0u64..).zip(steps) {
+        let class = InsertionClass::new(class);
+        ops += 1;
+        if let Kind::Remove = kind {
+            k.remove(key);
+            continue;
+        }
+        gets += 1;
+        if !k.get(key, class).is_hit() || matches!(kind, Kind::Write) {
+            k.put(key, class, value);
+            ops += 1;
         }
     }
-
-    fn put(&mut self, key: u64, class: InsertionClass, value: u64) {
-        let evicted = self.kernel.put(key, class, value);
-        self.ops += 1;
-        self.stored.insert(key, value);
-        self.left(evicted);
-    }
-
-    /// Runs one step, storing `value` if it puts. Returns whether its
-    /// `get` hit.
-    fn step(&mut self, step: Step, value: u64) -> bool {
-        let (key, class) = (step.key, InsertionClass::new(step.class));
-        self.ops += 1;
-        if let Kind::Remove = step.kind {
-            let removed = self.kernel.remove(key);
-            self.left(removed);
-            return false;
-        }
-        self.gets += 1;
-        let (hit, evicted) = match self.kernel.get(key, class) {
-            Lookup::Hit { value, evicted, .. } => {
-                assert_eq!(Some(&*value), self.stored.get(&key), "a hit returns the last value");
-                (true, evicted)
-            }
-            Lookup::Miss => (false, None),
-        };
-        self.left(evicted);
-        if !hit || matches!(step.kind, Kind::Write) {
-            self.put(key, class, value);
-        }
-        hit
-    }
-
-    /// The checks that hold at the end of any stream.
-    fn finish(&self) {
-        let k = &self.kernel;
-        assert_eq!(k.hits() + k.misses(), self.gets);
-        assert_eq!(k.epochs(), self.gets / k.config().epoch_len, "one epoch per epoch_len gets");
-        assert_eq!(k.epoch_checks(), k.epochs(), "every epoch ran its checks");
-        assert_eq!(k.audit_ops(), self.ops, "every operation was replayed");
-        assert!(k.len() <= k.capacity());
-        assert!(k.deli_occupancy() <= k.deli_capacity());
-    }
-}
-
-/// Runs `steps` through an audited kernel built from `config`.
-fn run(config: KernelConfig, steps: &[Step]) -> Audited {
-    let mut audited = Audited::new(config);
-    for (value, &step) in (0u64..).zip(steps) {
-        audited.step(step, value);
-    }
-    audited.finish();
-    audited
+    assert_eq!(k.hits() + k.misses(), gets);
+    assert_eq!(k.epochs(), gets / k.config().epoch_len, "one epoch per epoch_len gets");
+    assert_eq!(k.epoch_checks(), k.epochs());
+    assert_eq!(k.audit_ops(), ops);
+    k
 }
 
 proptest! {
@@ -171,7 +109,7 @@ proptest! {
         strategy in strategy_choice(),
         epoch_len in 40u64..220,
     ) {
-        run(small(8, 4, deli, epoch_len).with_strategy(strategy), &steps);
+        run(small(8, 4, deli, epoch_len).with_strategy(strategy), steps);
     }
 
     /// FIFO aging without promotion, with and without the second-chance
@@ -185,7 +123,7 @@ proptest! {
         let mut config = small(4, 8, 3, epoch_len);
         config.promote_on_deli_hit = false;
         config.deli_hit_refresh = refresh;
-        run(config, &steps);
+        run(config, steps);
     }
 
     /// Sampled monitoring (shift > 0) and a bigger geometry.
@@ -196,7 +134,7 @@ proptest! {
     ) {
         let mut config = small(16, 8, 4, 100);
         config.monitor_shift = shift;
-        run(config, &steps);
+        run(config, steps);
     }
 }
 
@@ -207,16 +145,11 @@ proptest! {
 #[test]
 fn kernel_matches_model_loop_stream() {
     let rounds = if cfg!(miri) { 3_000 } else { 30_000 };
-    let mut audited = Audited::new(small(64, 16, 8, 2_000));
-    for round in 0..rounds {
-        audited.step(Step { class: 1, key: round % 768, kind: Kind::Read }, round);
-        if round % 2 == 0 {
-            let key = (1 << 20) + round / 2;
-            audited.step(Step { class: 2, key, kind: Kind::Read }, round);
-        }
-    }
-    audited.finish();
-    let k = &audited.kernel;
+    let steps = (0..rounds).flat_map(|round| {
+        let streaming = (round % 2 == 0).then_some((2, (1 << 20) + round / 2, Kind::Read));
+        std::iter::once((1, round % 768, Kind::Read)).chain(streaming)
+    });
+    let k = run(small(64, 16, 8, 2_000), steps);
     assert!(k.epochs() >= 2, "the stream must cross epochs");
     assert!(k.deli_hits() > 0, "the stream must hit in the DeliWays");
     assert_eq!(k.chosen_classes(), [InsertionClass::new(1)], "the loop is chosen");
