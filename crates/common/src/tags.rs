@@ -10,8 +10,9 @@
 //! A rank row keeps a region's replacement order in one byte per way:
 //! the ways hold a permutation of `0..n`, rank 0 the most recently
 //! touched. [`rank_touch`] moves a way to the front and [`rank_oldest`]
-//! names the way at the back, so one row serves as an LRU stack (touch
-//! on every hit and fill) or a FIFO (touch on fill only). The other
+//! names the way at the back ([`rank_way`] the way at any rank), so one
+//! row serves as an LRU stack (touch on every hit and fill) or a FIFO
+//! (touch on fill only). The other
 //! moves serve the simulator's policies: [`rank_to_back`] is an
 //! LRU-position insert (DIP, TADIP-F), [`rank_insert`] an insert at a
 //! depth from the back and [`rank_promote`] a one-step promotion (PIPP),
@@ -130,16 +131,50 @@ pub fn rank_touch(ranks: &mut [u8], way: usize) {
     }
 }
 
-/// [`rank_oldest`] over a row of exactly `N` ranks, unrolled.
+/// The ways of a row of exactly `N` ranks that hold `rank`, as a
+/// bitmask, unrolled.
 #[inline(always)]
-fn rank_oldest_n<const N: usize>(ranks: &[u8]) -> u64 {
+fn rank_mask_n<const N: usize>(ranks: &[u8], rank: usize) -> u64 {
     let mut at = 0u64;
     if let Ok(row) = <&[u8; N]>::try_from(ranks) {
         for (i, &r) in row.iter().enumerate() {
-            at |= u64::from(usize::from(r) == N - 1) << i;
+            at |= u64::from(usize::from(r) == rank) << i;
         }
     }
     at
+}
+
+/// The way holding `rank` in a rank row (at most 64 ways). Branch-free
+/// over the row. If no way holds it, the row is not a permutation or
+/// `rank` is past its end, and the last way is returned, so the result
+/// is always in bounds of a non-empty row.
+///
+/// # Examples
+///
+/// ```
+/// use nucache_common::tags::rank_way;
+///
+/// let ranks = [2, 0, 3, 1];
+/// assert_eq!(rank_way(&ranks, 0), 1);
+/// assert_eq!(rank_way(&ranks, 3), 2);
+/// ```
+#[inline]
+pub fn rank_way(ranks: &[u8], rank: usize) -> usize {
+    debug_assert!(ranks.len() <= 64, "a rank row has at most 64 ways");
+    let last = ranks.len().saturating_sub(1);
+    let at = match ranks.len() {
+        16 => rank_mask_n::<16>(ranks, rank),
+        8 => rank_mask_n::<8>(ranks, rank),
+        4 => rank_mask_n::<4>(ranks, rank),
+        _ => {
+            let mut at = 0u64;
+            for (i, &r) in ranks.iter().enumerate() {
+                at |= u64::from(usize::from(r) == rank) << i;
+            }
+            at
+        }
+    };
+    (at.trailing_zeros() as usize).min(last)
 }
 
 /// The way holding the last rank of a rank row (at most 64 ways): the
@@ -148,21 +183,7 @@ fn rank_oldest_n<const N: usize>(ranks: &[u8]) -> u64 {
 /// returned, so the result is always in bounds of a non-empty row.
 #[inline]
 pub fn rank_oldest(ranks: &[u8]) -> usize {
-    debug_assert!(ranks.len() <= 64, "a rank row has at most 64 ways");
-    let last = ranks.len().saturating_sub(1);
-    let at = match ranks.len() {
-        16 => rank_oldest_n::<16>(ranks),
-        8 => rank_oldest_n::<8>(ranks),
-        4 => rank_oldest_n::<4>(ranks),
-        _ => {
-            let mut at = 0u64;
-            for (i, &r) in ranks.iter().enumerate() {
-                at |= u64::from(usize::from(r) == last) << i;
-            }
-            at
-        }
-    };
-    (at.trailing_zeros() as usize).min(last)
+    rank_way(ranks, ranks.len().saturating_sub(1))
 }
 
 /// The rank `r` becomes when the way at rank `from` moves to rank `to`:

@@ -22,7 +22,7 @@ use nucache_cache::{AuditStats, CacheGeometry, SharedLlc};
 use nucache_common::telemetry::{Event, PcSnapshot};
 use nucache_common::{AccessKind, CacheStats, CoreId, LineAddr, Pc};
 use nucache_kernel::{
-    DelinquentTracker, Evicted, KernelConfig, Lookup, NextUseMonitor, NucacheKernel,
+    DeliAdmission, DelinquentTracker, Evicted, KernelConfig, Lookup, NextUseMonitor, NucacheKernel,
 };
 
 /// Per-line simulator state stored as the kernel's value type.
@@ -36,9 +36,9 @@ struct LineInfo {
 ///
 /// Each set's ways are split into `M` MainWays (LRU, all lines) and `D`
 /// DeliWays (FIFO, only lines allocated by the currently chosen
-/// delinquent PCs, entered on eviction from the MainWays). A sampled
-/// Next-Use monitor and a per-PC miss tracker feed the epoch-based
-/// cost-benefit PC selection.
+/// delinquent PCs, entered on eviction from the MainWays: the paper's
+/// rule, [`DeliAdmission::ChosenOnly`]). A sampled Next-Use monitor and
+/// a per-PC miss tracker feed the epoch-based cost-benefit PC selection.
 ///
 /// # Examples
 ///
@@ -46,9 +46,8 @@ struct LineInfo {
 /// use nucache_cache::{CacheGeometry, SharedLlc};
 /// use nucache_core::{KernelConfig, NuCache};
 /// let geom = CacheGeometry::new(512 * 1024, 16, 64);
-/// let llc = NuCache::new(geom, 2, KernelConfig::default().with_deli_ways(8));
-/// assert_eq!(llc.main_ways(), 8);
-/// assert_eq!(llc.deli_ways(), 8);
+/// let llc = NuCache::new(geom, 2, KernelConfig::default().with_deli_ways(6));
+/// assert_eq!(llc.scheme_name(), "nucache-d6");
 /// ```
 #[derive(Debug)]
 pub struct NuCache {
@@ -60,8 +59,9 @@ pub struct NuCache {
 
 impl NuCache {
     /// Creates a NUcache LLC for `num_cores` cores. The kernel's `sets`
-    /// and `ways` are the geometry's; those fields of `config` are
-    /// ignored.
+    /// and `ways` are the geometry's, and its DeliWays admission is the
+    /// paper's, [`DeliAdmission::ChosenOnly`]; those fields of `config`
+    /// are ignored.
     ///
     /// # Panics
     ///
@@ -69,7 +69,10 @@ impl NuCache {
     /// configuration (see [`KernelConfig::validate`]).
     pub fn new(geom: CacheGeometry, num_cores: usize, config: KernelConfig) -> Self {
         assert!(num_cores > 0, "need at least one core");
-        let config = config.with_sets(geom.num_sets()).with_ways(geom.associativity());
+        let config = KernelConfig {
+            deli_admission: DeliAdmission::ChosenOnly,
+            ..config.with_sets(geom.num_sets()).with_ways(geom.associativity())
+        };
         let kernel = NucacheKernel::init(config)
             .unwrap_or_else(|e| panic!("invalid NUcache configuration: {e}"));
         #[allow(unused_mut)] // mut only needed under debug_invariants
@@ -116,13 +119,8 @@ impl NuCache {
         );
     }
 
-    /// Number of MainWays per set.
-    pub const fn main_ways(&self) -> usize {
-        self.kernel.main_ways()
-    }
-
     /// Number of DeliWays per set.
-    pub const fn deli_ways(&self) -> usize {
+    pub(crate) const fn deli_ways(&self) -> usize {
         self.kernel.deli_ways()
     }
 
@@ -154,11 +152,6 @@ impl NuCache {
     /// Read access to the Next-Use monitor (Fig. 2 uses this).
     pub const fn monitor(&self) -> &NextUseMonitor<Pc> {
         self.kernel.monitor()
-    }
-
-    /// Valid lines currently resident in the DeliWays across all sets.
-    pub fn deli_occupancy(&self) -> u64 {
-        self.kernel.deli_occupancy()
     }
 
     /// Maps an eviction leaving the kernel back into the simulator's
@@ -315,13 +308,15 @@ mod tests {
     }
 
     /// The geometry sets the kernel's shape, whatever `sets` and `ways`
-    /// the configuration carries.
+    /// the configuration carries, and the DeliWays admit chosen PCs only.
     #[test]
     fn geometry_supplies_sets_and_ways() {
         let config = test_config(2).with_sets(4).with_ways(64);
+        assert_eq!(config.deli_admission, DeliAdmission::Guests);
         let llc = NuCache::new(geom(16, 4), 1, config);
         assert_eq!((llc.kernel.config().sets, llc.kernel.config().ways), (16, 4));
-        assert_eq!((llc.main_ways(), llc.deli_ways()), (2, 2));
+        assert_eq!(llc.kernel.config().deli_admission, DeliAdmission::ChosenOnly);
+        assert_eq!((llc.kernel.main_ways(), llc.deli_ways()), (2, 2));
         assert_eq!(llc.kernel.capacity(), 64);
     }
 
@@ -510,23 +505,10 @@ mod tests {
     }
 
     #[test]
-    fn deli_occupancy_counts_valid_deli_lines() {
-        let mut llc = NuCache::new(geom(1, 4), 1, test_config(2));
-        llc.kernel.force_chosen(&[Pc::new(1)]);
-        assert_eq!(llc.deli_occupancy(), 0);
-        read(&mut llc, 1, 0);
-        read(&mut llc, 1, 1);
-        read(&mut llc, 1, 2); // evicts 0 -> DeliWays
-        assert_eq!(llc.deli_occupancy(), 1);
-        read(&mut llc, 1, 3); // evicts 1 -> DeliWays
-        assert_eq!(llc.deli_occupancy(), 2);
-    }
-
-    #[test]
     fn scheme_name_reports_deliways() {
         let llc = NuCache::new(geom(16, 16), 1, test_config(4));
         assert_eq!(llc.scheme_name(), "nucache-d4");
-        assert_eq!(llc.main_ways(), 12);
+        assert_eq!(llc.kernel.main_ways(), 12);
     }
 
     #[test]

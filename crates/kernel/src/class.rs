@@ -1,8 +1,10 @@
 //! Insertion classes: the caller-defined generalization of the paper's
 //! "delinquent PC".
 //!
-//! NUcache retains evicted lines in the DeliWays only when they were
-//! inserted by one of the currently *chosen* classes. Inside the
+//! NUcache retains evicted lines in the DeliWays when they were inserted
+//! by one of the currently *chosen* classes; other classes' evictions
+//! only borrow the room those leave idle, as guests that leave first
+//! ([`DeliAdmission::Guests`](crate::DeliAdmission::Guests)). Inside the
 //! simulator the class of a fill is the program counter of the missing
 //! load; an embedding application instead supplies any stable label
 //! whose members share a reuse pattern. See the type-level docs for a
@@ -40,7 +42,9 @@ use core::fmt;
 ///
 /// Poor classifications defeat the selection: one class for everything
 /// (nothing to discriminate), or a unique class per key (no class
-/// accumulates enough Next-Use evidence before it decays).
+/// accumulates enough Next-Use evidence before it decays). Under the
+/// default guest admission such a cache still serves about like an LRU
+/// cache of all its ways, not of its MainWays alone.
 ///
 /// # Examples
 ///

@@ -77,11 +77,15 @@ pub enum EpochMode {
     /// [`ConcurrentNucache::pump_epochs`]) computes the selection
     /// outside the shard lock and installs the result.
     ///
-    /// The driver is required. Without an [`EpochThread::spawn`] or a
-    /// caller that runs [`pump_epochs`](ConcurrentNucache::pump_epochs)
-    /// periodically, no selection ever installs: no class is chosen, the
-    /// DeliWays stay empty and each shard acts as an LRU cache of its
-    /// MainWays.
+    /// Selection needs an [`EpochThread::spawn`] or a caller that runs
+    /// [`pump_epochs`](ConcurrentNucache::pump_epochs) periodically.
+    /// Without either, no selection ever installs and no class is
+    /// chosen. Under
+    /// [`DeliAdmission::Guests`](crate::DeliAdmission::Guests), the
+    /// default, every eviction then borrows the DeliWays and each shard
+    /// is an LRU cache of its whole geometry; under
+    /// [`ChosenOnly`](crate::DeliAdmission::ChosenOnly) the DeliWays stay
+    /// empty and each shard acts as an LRU cache of its MainWays.
     Deferred,
 }
 
@@ -101,11 +105,15 @@ pub struct ConcurrentConfig {
 impl ConcurrentConfig {
     /// A configuration with `shards` shards in [`EpochMode::Deferred`].
     ///
-    /// Deferred mode needs a driver: spawn an [`EpochThread`] over the
-    /// cache, or call [`pump_epochs`](ConcurrentNucache::pump_epochs)
-    /// periodically. Without one no selection ever installs and the
-    /// DeliWays stay empty. Set `epoch_mode` to [`EpochMode::Inline`] to
-    /// run selection on the request path instead.
+    /// Deferred mode selects only while something runs the epochs: spawn
+    /// an [`EpochThread`] over the cache, or call
+    /// [`pump_epochs`](ConcurrentNucache::pump_epochs) periodically.
+    /// Otherwise no selection ever installs, and each shard is an LRU
+    /// cache of its whole geometry under the default
+    /// [`DeliAdmission::Guests`](crate::DeliAdmission::Guests) (of its
+    /// MainWays under `ChosenOnly`). Set `epoch_mode` to
+    /// [`EpochMode::Inline`] to run selection on the request path
+    /// instead.
     pub fn new(shards: usize, shard: KernelConfig) -> Self {
         ConcurrentConfig { shards, shard, epoch_mode: EpochMode::Deferred }
     }

@@ -22,10 +22,32 @@ pub enum SelectionStrategy {
     /// Choose `k` candidate classes uniformly at random each epoch
     /// (ablation lower bound).
     Random(usize),
-    /// Never choose any class: DeliWays stay empty and the cache degrades
-    /// to an LRU cache of MainWays associativity (worst case sanity
-    /// bound).
+    /// Never choose any class. Under [`DeliAdmission::Guests`] every
+    /// MainWays eviction borrows the DeliWays and, with
+    /// `promote_on_deli_hit`, the kernel is exactly an LRU cache of the
+    /// same geometry (`deli_ways = 0`). Under
+    /// [`DeliAdmission::ChosenOnly`] the DeliWays stay empty and the
+    /// cache degrades to an LRU cache of MainWays associativity (worst
+    /// case sanity bound).
     None,
+}
+
+/// Which MainWays evictions the DeliWays take in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DeliAdmission {
+    /// The paper's rule: only evictions of chosen classes enter the
+    /// DeliWays; every other MainWays eviction leaves the cache. The
+    /// simulator's NUcache runs this rule.
+    ChosenOnly,
+    /// Evictions of unchosen classes borrow idle DeliWays as *guests*.
+    /// An unchosen victim takes a free DeliWay, else replaces the oldest
+    /// guest, else leaves the cache. A chosen victim takes a free
+    /// DeliWay, else replaces the oldest guest, else the FIFO head. So a
+    /// chosen entry leaves the DeliWays only when its set holds no
+    /// guest, and guests never count in the per-class fills the selector
+    /// reads: the chosen classes keep the lifetime the selector
+    /// modelled, and capacity they leave idle serves everyone else.
+    Guests,
 }
 
 impl fmt::Display for SelectionStrategy {
@@ -81,7 +103,11 @@ pub(crate) fn fits(count: usize, bytes: usize) -> bool {
 /// The policy defaults are the design point of the simulator's headline
 /// results (half the ways as DeliWays, sampling 1 set in 32, 100k-access
 /// epochs); `crates/sim/tests/config_contract.rs` pins them against the
-/// `DEFAULT_*` and the simulator's `BASELINE_*` constants. The sizes no
+/// `DEFAULT_*` and the simulator's `BASELINE_*` constants. The one
+/// exception is [`deli_admission`](Self::deli_admission): the library
+/// default is [`DeliAdmission::Guests`], and the simulator's NUcache
+/// lowers every configuration to the paper's
+/// [`DeliAdmission::ChosenOnly`]. The sizes no
 /// caller varies are constants: [`MAX_CANDIDATES`], [`HISTOGRAM_BUCKETS`],
 /// the exhaustive strategy's 12-class pool and the tracker's 256 classes. The simulator's
 /// NUcache takes this type too, with `sets` and `ways` replaced by its
@@ -112,6 +138,8 @@ pub struct KernelConfig {
     pub deli_hit_refresh: bool,
     /// Selection strategy.
     pub strategy: SelectionStrategy,
+    /// Which MainWays evictions the DeliWays take in.
+    pub deli_admission: DeliAdmission,
     /// Seed for the stochastic strategies.
     pub seed: u64,
 }
@@ -128,6 +156,7 @@ impl Default for KernelConfig {
             promote_on_deli_hit: true,
             deli_hit_refresh: false,
             strategy: SelectionStrategy::CostBenefit,
+            deli_admission: DeliAdmission::Guests,
             seed: 0xcafe,
         }
     }

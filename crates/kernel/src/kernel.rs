@@ -1,8 +1,8 @@
 //! The NUcache keyed-cache state machine: MainWays + DeliWays.
 
 use crate::config::{
-    fits, ConfigError, KernelConfig, SelectionStrategy, HISTOGRAM_BUCKETS, MAX_CANDIDATES,
-    ORACLE_POOL, TRACKER_SLOTS,
+    fits, ConfigError, DeliAdmission, KernelConfig, SelectionStrategy, HISTOGRAM_BUCKETS,
+    MAX_CANDIDATES, ORACLE_POOL, TRACKER_SLOTS,
 };
 use crate::index::ClassIndex;
 use crate::model::ReplacementModel;
@@ -15,7 +15,9 @@ use alloc::vec::Vec;
 use core::fmt::Debug;
 use core::hash::Hash;
 use core::mem;
-use nucache_common::tags::{eq_mask, rank_oldest, rank_touch};
+use nucache_common::tags::{
+    eq_mask, rank_insert, rank_oldest, rank_oldest_in, rank_touch, rank_way,
+};
 
 /// Candidate classes included per [`EpochSummary`] snapshot; enough to
 /// cover every realistic chosen set (DeliWays ≤ 16) with headroom for
@@ -46,13 +48,13 @@ pub enum Region {
     /// The LRU-managed MainWays, where every entry is inserted.
     Main,
     /// The FIFO-managed DeliWays, holding retained evictions of chosen
-    /// classes.
+    /// classes and, under [`DeliAdmission::Guests`], guests.
     Deli,
 }
 
-/// An entry that left the cache: the FIFO drop of a retained entry, a
-/// MainWays eviction of an unchosen class, or an explicit
-/// [`remove`](NucacheKernel::remove).
+/// An entry that left the cache: the FIFO drop of a retained entry or a
+/// guest, a MainWays eviction the DeliWays did not take in, or an
+/// explicit [`remove`](NucacheKernel::remove).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Evicted<V, C> {
     /// The key the entry was stored under.
@@ -93,14 +95,6 @@ impl<V, C> Lookup<'_, V, C> {
 /// One resident entry's bookkeeping (tag + caller state).
 #[derive(Debug, Clone)]
 struct Stored<V, C> {
-    class: C,
-    value: V,
-}
-
-/// An entry pulled out of the array during replacement.
-#[derive(Debug)]
-struct Displaced<V, C> {
-    tag: u64,
     class: C,
     value: V,
 }
@@ -230,10 +224,12 @@ struct Audit<C> {
 }
 
 /// An embeddable NUcache: a set-associative keyed cache whose ways are
-/// split into MainWays (LRU, every entry) and DeliWays (FIFO, only
-/// entries of the currently chosen insertion classes, entered on
-/// MainWays eviction). A sampled Next-Use monitor and a per-class miss
-/// tracker feed the epoch-based cost-benefit class selection.
+/// split into MainWays (LRU, every entry) and DeliWays (FIFO, entered on
+/// MainWays eviction by entries of the currently chosen insertion
+/// classes and, under [`DeliAdmission::Guests`], by others as guests
+/// while the chosen ones leave them room). A sampled Next-Use monitor
+/// and a per-class miss tracker feed the epoch-based cost-benefit class
+/// selection.
 ///
 /// `V` is the caller's value type, stored inline; `C` is the insertion
 /// class (defaults to [`InsertionClass`](crate::InsertionClass); the
@@ -263,8 +259,9 @@ struct Audit<C> {
 ///   the most a selection chooses, so it never regrows.
 /// * `monitor-histogram-growth` — a Next-Use match in a sampled set may
 ///   lazily create that class's histogram; bounded by live classes.
-/// * `deli-class-counter` — a MainWays retirement bumps a per-class
-///   fill counter, creating the entry on a class's first retirement.
+/// * `deli-class-counter` — a chosen class's retirement into the
+///   DeliWays bumps a per-class fill counter, creating the entry on the
+///   class's first retirement. Guests never count.
 /// * `tracker-class-table` — a miss from an untracked class appends it
 ///   to the tracker's per-class table and heap. [`DelinquentTracker::new`]
 ///   allocates both at their full capacity, so the append never
@@ -304,10 +301,17 @@ pub struct NucacheKernel<V, C = crate::InsertionClass> {
     valid: Vec<u64>,
     /// Class + caller value per frame; `Some` iff the valid bit is set.
     entries: Vec<Option<Stored<V, C>>>,
-    /// Replacement rank per frame. Ways `[0, main_ways)` of a set hold an
-    /// LRU permutation of `0..main_ways`, ways `[main_ways, ways)` a FIFO
-    /// permutation of `0..deli_ways`; rank 0 is the newest.
+    /// Replacement rank per frame; each set's row is a permutation of
+    /// `0..ways`, and a frame's rank carries its region. A frame ranked
+    /// `r < main_ways` is a MainWay at LRU position `r`, one ranked
+    /// `main_ways + i` a DeliWay at FIFO position `i`; position 0 is the
+    /// newest. An entry retires into the DeliWays by aging past the last
+    /// MainWays rank and is promoted back by a touch, so no entry ever
+    /// moves between frames.
     ranks: Vec<u8>,
+    /// Guest mask per set: bit `w` is set when frame `w` holds a guest,
+    /// a DeliWays entry whose class was not chosen when it retired.
+    guests: Vec<u64>,
     monitor: NextUseMonitor<C>,
     tracker: DelinquentTracker<C>,
     /// DeliWays insertions per class this window: a retained class stops
@@ -364,9 +368,9 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         let mut entries = Vec::with_capacity(frames);
         entries.resize_with(frames, || None);
         let main_ways = config.ways - config.deli_ways;
-        // Each region starts as the identity permutation.
-        let row: Vec<u8> =
-            (0..=u8::MAX).take(main_ways).chain((0..=u8::MAX).take(config.deli_ways)).collect();
+        // Each row starts as the identity: the first `main_ways` frames
+        // are the MainWays.
+        let row: Vec<u8> = (0..=u8::MAX).take(config.ways).collect();
         Ok(NucacheKernel {
             set_bits,
             main_ways,
@@ -375,6 +379,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             valid: vec![0; config.sets],
             entries,
             ranks: row.repeat(config.sets),
+            guests: vec![0; config.sets],
             monitor: NextUseMonitor::new(
                 set_bits,
                 config.monitor_shift.min(set_bits),
@@ -435,118 +440,131 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
-    /// Installs an entry into a frame, returning whatever it displaced.
-    fn fill_frame(
-        &mut self,
-        set: usize,
-        way: usize,
-        tag: u64,
-        class: C,
-        value: V,
-    ) -> Option<Displaced<V, C>> {
+    /// Installs an entry into an invalid frame.
+    fn fill_frame(&mut self, set: usize, way: usize, tag: u64, class: C, value: V) {
         let f = self.frame(set, way);
-        let old_tag = self.tags[f];
-        let displaced = self.entries[f].take().map(|s| Displaced {
-            tag: old_tag,
-            class: s.class,
-            value: s.value,
-        });
-        let had = self.valid[set] & (1u64 << way) != 0;
-        debug_assert_eq!(had, displaced.is_some(), "valid bit and entry storage agree");
+        debug_assert_eq!(self.valid[set] & (1u64 << way), 0, "filled frames are invalid");
         self.tags[f] = tag;
         self.entries[f] = Some(Stored { class, value });
         self.valid[set] |= 1u64 << way;
-        displaced
     }
 
     /// Clears a frame, returning its entry if it was valid.
-    fn invalidate(&mut self, set: usize, way: usize) -> Option<Displaced<V, C>> {
+    fn invalidate(&mut self, set: usize, way: usize) -> Option<Evicted<V, C>> {
         let f = self.frame(set, way);
         if self.valid[set] & (1u64 << way) == 0 {
             return None;
         }
         self.valid[set] &= !(1u64 << way);
-        let tag = self.tags[f];
+        self.guests[set] &= !(1u64 << way);
+        let key = self.key_of(set, self.tags[f]);
         #[expect(clippy::expect_used, reason = "a valid frame holds an entry")]
         let stored = self.entries[f].take().expect("valid frame holds an entry");
-        Some(Displaced { tag, class: stored.class, value: stored.value })
+        Some(Evicted { key, class: stored.class, value: stored.value })
     }
 
-    /// First invalid way among the MainWays of `set`.
+    /// The rank row of `set`.
     #[inline]
-    fn free_main_way(&self, set: usize) -> Option<usize> {
-        let free = !self.valid[set] & low_mask(self.main_ways);
-        (free != 0).then(|| free.trailing_zeros() as usize)
-    }
-
-    /// The MainWays LRU ranks of `set`.
-    #[inline]
-    fn main_ranks(&self, set: usize) -> core::ops::Range<usize> {
+    fn row(&self, set: usize) -> core::ops::Range<usize> {
         let base = set * self.config.ways;
-        base..base + self.main_ways
+        base..base + self.config.ways
     }
 
-    /// The DeliWays FIFO ranks of `set`.
+    /// An invalid frame of `set`: a MainWay if `main`, else a DeliWay.
     #[inline]
-    fn deli_ranks(&self, set: usize) -> core::ops::Range<usize> {
-        let base = set * self.config.ways + self.main_ways;
-        base..base + self.deli_ways
+    fn free_way(&self, set: usize, main: bool) -> Option<usize> {
+        let base = set * self.config.ways;
+        let mut free = !self.valid[set] & low_mask(self.config.ways);
+        while free != 0 {
+            let way = free.trailing_zeros() as usize;
+            if (usize::from(self.ranks[base + way]) < self.main_ways) == main {
+                return Some(way);
+            }
+            free &= free - 1;
+        }
+        None
     }
 
-    /// Makes MainWay `way` of `set` the most recently used.
-    #[inline]
-    fn touch_main(&mut self, set: usize, way: usize) {
-        let range = self.main_ranks(set);
-        rank_touch(&mut self.ranks[range], way);
-    }
-
-    /// Makes DeliWay `way` (a way index of the whole set) of `set` the
-    /// newest in its FIFO.
-    #[inline]
-    fn touch_deli(&mut self, set: usize, way: usize) {
-        let range = self.deli_ranks(set);
-        rank_touch(&mut self.ranks[range], way - self.main_ways);
-    }
-
-    /// LRU victim among the MainWays of `set` (which are full): the way
-    /// holding the last rank.
+    /// The frame of `set` holding the LRU rank of its MainWays.
     #[inline]
     fn main_victim(&self, set: usize) -> usize {
-        rank_oldest(&self.ranks[self.main_ranks(set)])
+        rank_way(&self.ranks[self.row(set)], self.main_ways - 1)
     }
 
-    /// FIFO victim among the DeliWays of `set`, or the first invalid one.
-    fn deli_slot(&self, set: usize) -> usize {
+    /// Makes frame `way` of `set` the most recently used MainWay. Every
+    /// frame ranked ahead of it ages by one rank, so if it was a DeliWay,
+    /// the MainWays' LRU entry ages into the DeliWays' newest rank.
+    #[inline]
+    fn touch(&mut self, set: usize, way: usize) {
+        let row = self.row(set);
+        rank_touch(&mut self.ranks[row], way);
+    }
+
+    /// The DeliWay of `set` a MainWays victim displaces: a free one, else
+    /// the oldest guest's, else, unless the victim is itself a `guest`,
+    /// the FIFO head's. `None` when a guest finds no room.
+    fn deli_slot(&self, set: usize, guest: bool) -> Option<usize> {
         debug_assert!(self.deli_ways > 0, "deli_slot needs DeliWays");
-        let free = (!self.valid[set] >> self.main_ways) & low_mask(self.deli_ways);
-        if free != 0 {
-            return self.main_ways + free.trailing_zeros() as usize;
+        if let Some(way) = self.free_way(set, false) {
+            return Some(way);
         }
-        self.main_ways + rank_oldest(&self.ranks[self.deli_ranks(set)])
+        let row = &self.ranks[self.row(set)];
+        let guests = self.guests[set];
+        if guests == 0 {
+            return (!guest).then(|| rank_oldest(row));
+        }
+        // With no chosen entry behind them, the FIFO head is the oldest
+        // guest.
+        let head = rank_oldest(row);
+        if guests & (1u64 << head) != 0 {
+            return Some(head);
+        }
+        rank_oldest_in(row, guests)
     }
 
-    /// Handles an entry leaving the MainWays: moves it into the DeliWays
-    /// if its class is chosen (returning the entry the FIFO dropped, if
-    /// any) or lets it leave the cache. Either way the monitor sees the
-    /// eviction — Next-Use is defined from MainWays eviction for every
-    /// entry, so the selector can discover classes that are not
-    /// currently chosen.
-    fn retire_from_main(&mut self, set: usize, victim: Displaced<V, C>) -> Option<Evicted<V, C>> {
-        let key = self.key_of(set, victim.tag);
-        self.monitor.on_evict(key, victim.class);
-        if self.deli_ways == 0 || !self.is_chosen(victim.class) {
-            return Some(Evicted { key, class: victim.class, value: victim.value });
+    /// The MainWays LRU entry of `set`, in frame `victim`, leaves the
+    /// MainWays. The monitor sees the eviction — Next-Use is defined from
+    /// MainWays eviction for every entry, so the selector can discover
+    /// classes that are not currently chosen. If the DeliWays take the
+    /// entry in (see [`DeliAdmission`]), it is counted as a DeliWays fill
+    /// and marked if it is a guest, and the DeliWay whose occupant it
+    /// displaces is returned: `freed` if a promotion has just freed one,
+    /// else a free one, a guest's or the FIFO head's. `None` if it leaves
+    /// the cache.
+    ///
+    /// The entry stays in its frame either way. Its caller touches the
+    /// returned frame (or, for a promotion, the promoted one), which ages
+    /// the entry into the DeliWays' newest rank.
+    fn retire_from_main(
+        &mut self,
+        set: usize,
+        victim: usize,
+        freed: Option<usize>,
+    ) -> Option<usize> {
+        let f = self.frame(set, victim);
+        let class = self.entries[f].as_ref()?.class;
+        self.monitor.on_evict(self.key_of(set, self.tags[f]), class);
+        if self.deli_ways == 0 {
+            return None;
         }
-        let slot = self.deli_slot(set);
-        let dropped = self.fill_frame(set, slot, victim.tag, victim.class, victim.value);
-        self.touch_deli(set, slot);
+        let guest = !self.is_chosen(class);
+        if guest && self.config.deli_admission == DeliAdmission::ChosenOnly {
+            return None;
+        }
+        let slot = match freed {
+            Some(way) => way,
+            None => self.deli_slot(set, guest)?,
+        };
         self.deli_fills += 1;
-        // audit:allow-alloc(per-class fill counter, one entry per live class)
-        *self.deli_fills_by_class.entry(victim.class).or_insert(0) += 1;
-        // An entry aging out of the DeliWays FIFO leaves the cache for
-        // good; its Next-Use from this (second) eviction is not what the
-        // selector models, so it is not re-recorded.
-        dropped.map(|d| Evicted { key: self.key_of(set, d.tag), class: d.class, value: d.value })
+        if guest {
+            self.guests[set] |= 1u64 << victim;
+        } else {
+            // Guests never count in the per-class fills the selector
+            // reads.
+            // audit:allow-alloc(per-class fill counter, one entry per live class)
+            *self.deli_fills_by_class.entry(class).or_insert(0) += 1;
+        }
+        Some(slot)
     }
 
     // ---- the keyed API ----------------------------------------------------
@@ -580,10 +598,9 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
 
         self.hits += 1;
         let mut region = Region::Main;
-        let mut final_way = way;
         let mut evicted = None;
-        if way < self.main_ways {
-            self.touch_main(set, way);
+        if usize::from(self.ranks[self.frame(set, way)]) < self.main_ways {
+            self.touch(set, way);
         } else {
             region = Region::Deli;
             self.deli_hits += 1;
@@ -591,42 +608,45 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             // eviction: feed it to the monitor so chosen classes keep
             // their Next-Use evidence instead of oscillating out.
             self.monitor.on_next_use(key);
-            if !self.config.promote_on_deli_hit && self.config.deli_hit_refresh {
+            if self.config.promote_on_deli_hit {
+                // Promote the hit entry to the most recently used MainWay,
+                // in its frame. With a free MainWay the two frames trade
+                // ranks, so nothing leaves the MainWays. Otherwise their
+                // LRU entry retires into the room the promotion frees, the
+                // DeliWays' newest rank, if the DeliWays take it in, and
+                // leaves the cache if not.
+                self.guests[set] &= !(1u64 << way);
+                if let Some(free) = self.free_way(set, true) {
+                    let (hit, free) = (self.frame(set, way), self.frame(set, free));
+                    self.ranks.swap(hit, free);
+                } else {
+                    let victim = self.main_victim(set);
+                    if self.retire_from_main(set, victim, Some(way)).is_none() {
+                        evicted = self.invalidate(set, victim);
+                    }
+                }
+                self.touch(set, way);
+            } else if self.config.deli_hit_refresh {
                 // Second-chance FIFO: an actively reused entry moves to
                 // the FIFO tail instead of aging out on schedule.
-                self.touch_deli(set, way);
-            }
-            if self.config.promote_on_deli_hit && self.main_ways > 0 {
-                // Promote the hit entry back into the MainWays: free its
-                // DeliWays slot, then displace the MainWays LRU victim
-                // through the normal retirement path (which
-                // admission-checks it into the freed slot only if its
-                // class is chosen).
-                #[expect(clippy::expect_used, reason = "the hit way is valid")]
-                let promoted = self.invalidate(set, way).expect("hit way valid");
-                let mv = self.free_main_way(set).unwrap_or_else(|| self.main_victim(set));
-                if let Some(victim) = self.invalidate(set, mv) {
-                    evicted = self.retire_from_main(set, victim);
-                }
-                self.fill_frame(set, mv, promoted.tag, promoted.class, promoted.value);
-                self.touch_main(set, mv);
-                final_way = mv;
+                let row = self.row(set);
+                rank_insert(&mut self.ranks[row], way, self.deli_ways - 1);
             }
         }
         if self.audit.is_some() {
             let left = evicted.as_ref().map(|e| (e.key, e.class));
             self.audit_replay("get", key, (Some(region), left), |m| m.on_get(key));
         }
-        let f = self.frame(set, final_way);
+        let f = self.frame(set, way);
         #[expect(clippy::expect_used, reason = "the hit entry is resident")]
         let value = &mut self.entries[f].as_mut().expect("hit entry resident").value;
         Lookup::Hit { value, region, evicted }
     }
 
-    /// Inserts `key` with `class` and `value`, filling into the MainWays
-    /// (an invalid way first, else the LRU victim, whose entry retires —
-    /// possibly into the DeliWays). Returns the entry that left the
-    /// cache, if any.
+    /// Inserts `key` with `class` and `value` as the most recently used
+    /// MainWays entry. If the MainWays are full, their LRU entry retires,
+    /// into the DeliWays if they take it in (see [`DeliAdmission`]).
+    /// Returns the entry that left the cache, if any.
     ///
     /// If `key` is already resident its class and value are replaced in
     /// place without touching replacement state. A `put` right after a
@@ -649,17 +669,22 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
                 return None;
             }
         }
-        let (way, leaving) = match self.free_main_way(set) {
-            Some(w) => (w, None),
+        let way = match self.free_way(set, true) {
+            Some(way) => way,
             None => {
-                let w = self.main_victim(set);
-                #[expect(clippy::expect_used, reason = "full MainWays: the victim frame is valid")]
-                let victim = self.invalidate(set, w).expect("MainWays full, victim valid");
-                (w, self.retire_from_main(set, victim))
+                let victim = self.main_victim(set);
+                self.retire_from_main(set, victim, None).unwrap_or(victim)
             }
         };
+        // The frame is the retiring entry's own if it left the cache, else
+        // the DeliWay it displaced; filling and touching it ages a
+        // retained entry into the DeliWays' newest rank. An entry
+        // displaced from the DeliWays leaves the cache for good; its
+        // Next-Use from this second eviction is not what the selector
+        // models, so the monitor does not see it.
+        let leaving = self.invalidate(set, way);
         self.fill_frame(set, way, tag, class, value);
-        self.touch_main(set, way);
+        self.touch(set, way);
         if self.audit.is_some() {
             self.audit_replay("put", key, leaving.as_ref().map(|e| (e.key, e.class)), |m| {
                 m.on_put(key, class)
@@ -674,10 +699,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     // audit:hot-path
     pub fn remove(&mut self, key: u64) -> Option<Evicted<V, C>> {
         let set = self.set_of(key);
-        let removed = self
-            .way_of(set, self.tag_of(key))
-            .and_then(|way| self.invalidate(set, way))
-            .map(|d| Evicted { key, class: d.class, value: d.value });
+        let removed = self.way_of(set, self.tag_of(key)).and_then(|way| self.invalidate(set, way));
         if self.audit.is_some() {
             self.audit_replay("remove", key, removed.as_ref().map(|e| (e.key, e.class)), |m| {
                 m.on_remove(key)
@@ -927,10 +949,11 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
     /// Enables the differential audit oracle. Every `get`, `put` and
     /// `remove` is replayed into a textbook model of the replacement:
     /// per set, the MainWays in LRU order and the DeliWays in FIFO order,
-    /// with DeliWays admission from the model's own sorted copy of the
-    /// chosen set. The kernel must agree with it on hit or miss, the
-    /// region, the entry that left the cache, and both orders of the
-    /// accessed set. Each access also checks that the counters are
+    /// each DeliWays entry marked as a guest or not, with DeliWays
+    /// admission from the model's own sorted copy of the chosen set. The
+    /// kernel must agree with it on hit or miss, the region, the entry
+    /// that left the cache, and both orders of the accessed set, guests
+    /// included. Each access also checks that the counters are
     /// monotone, and each selection epoch that the monitor's matches are
     /// within its recorded evictions and that the selection objective is
     /// reproducible from the candidates. A violation panics at the
@@ -939,12 +962,10 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         let mut model = ReplacementModel::new(&self.config);
         model.set_chosen(&self.chosen);
         for set in 0..self.config.sets {
-            for (region, first, count) in
-                [(Region::Main, 0, self.main_ways), (Region::Deli, self.main_ways, self.deli_ways)]
-            {
-                for (key, class) in self.ranked(set, first, count) {
+            for region in [Region::Main, Region::Deli] {
+                for (key, class, guest) in self.ranked(set, region) {
                     if let Some(class) = class {
-                        model.push_oldest(set, region, (key, class));
+                        model.push_oldest(set, region, (key, class), guest);
                     }
                 }
             }
@@ -999,27 +1020,32 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         ]
     }
 
-    /// The entries in `count` ways of `set` from way `first` on (one
-    /// region), valid ways only, in rank order: newest first. A valid
-    /// frame without an entry shows as `None`.
+    /// The entries of `set` in `region`, valid frames only, in rank
+    /// order: newest first. Each is its key, its class (`None` for a valid
+    /// frame without an entry) and whether it is a guest.
     fn ranked(
         &self,
         set: usize,
-        first: usize,
-        count: usize,
-    ) -> impl Iterator<Item = (u64, Option<C>)> + '_ {
+        region: Region,
+    ) -> impl Iterator<Item = (u64, Option<C>, bool)> + '_ {
         let base = set * self.config.ways;
         let mut by_rank = [0; 64];
-        for (way, &rank) in (first..).zip(&self.ranks[base + first..base + first + count]) {
-            by_rank[usize::from(rank)] = way;
+        for (way, &rank) in self.ranks[self.row(set)].iter().enumerate() {
+            by_rank[usize::from(rank) & 63] = way;
         }
+        let (skip, take) = match region {
+            Region::Main => (0, self.main_ways),
+            Region::Deli => (self.main_ways, self.deli_ways),
+        };
         by_rank
             .into_iter()
-            .take(count)
+            .skip(skip)
+            .take(take)
             .filter(move |&way| self.valid[set] & (1u64 << way) != 0)
             .map(move |way| {
                 let f = base + way;
-                (self.key_of(set, self.tags[f]), self.entries[f].as_ref().map(|s| s.class))
+                let guest = self.guests[set] & (1u64 << way) != 0;
+                (self.key_of(set, self.tags[f]), self.entries[f].as_ref().map(|s| s.class), guest)
             })
     }
 
@@ -1046,32 +1072,35 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.audit_access_check(self.set_of(key));
     }
 
-    /// Per-access oracle checks: both rank regions of `set` are
-    /// permutations whose valid ways, in rank order, hold exactly the
-    /// model's entries in its order; counters are monotone since the last
-    /// check; DeliWays hits are within total hits.
+    /// Per-access oracle checks: the rank row of `set` is a permutation;
+    /// its valid frames, in rank order, hold exactly the model's entries
+    /// in both of its orders, guests where the model has them and only
+    /// there; counters are monotone since the last check; DeliWays hits
+    /// are within total hits.
     fn audit_access_check(&mut self, set: usize) {
         let Some(audit) = &self.audit else { return };
+        let ways = self.config.ways;
+        let ranks = &self.ranks[self.row(set)];
+        let seen = ranks.iter().fold(0u64, |m, &r| m | 1 << (r & 63));
+        assert!(
+            ranks.iter().all(|&r| usize::from(r) < ways) && seen == low_mask(ways),
+            "audit: the ranks {ranks:?} of set {set} are not a permutation"
+        );
+        let (guests, valid) = (self.guests[set], self.valid[set]);
+        assert!(guests & !valid == 0, "audit: set {set} marks invalid frames as guests");
         let (main, deli) = audit.model.orders(set);
-        for (region, first, count, want) in [
-            ("MainWays", 0, self.main_ways, main),
-            ("DeliWays", self.main_ways, self.deli_ways, deli),
-        ] {
-            let base = set * self.config.ways + first;
-            let ranks = &self.ranks[base..base + count];
-            let seen = ranks.iter().fold(0u64, |m, &r| m | 1 << (r & 63));
-            assert!(
-                ranks.iter().all(|&r| usize::from(r) < count) && seen == low_mask(count),
-                "audit: {region} ranks {ranks:?} of set {set} are not a permutation"
-            );
-            assert!(
-                self.ranked(set, first, count).eq(want.iter().map(|&(key, c)| (key, Some(c)))),
-                "audit: the {region} of set {set} diverged from the model, which holds {want:?} \
-                 newest first; the kernel has ranks {ranks:?} over tags {:?}, valid mask {:#x}",
-                &self.tags[base..base + count],
-                self.valid[set] >> first
-            );
-        }
+        let main_agrees =
+            self.ranked(set, Region::Main).eq(main.iter().map(|&(key, c)| (key, Some(c), false)));
+        let deli_agrees = self
+            .ranked(set, Region::Deli)
+            .eq(deli.iter().map(|&((key, c), guest)| (key, Some(c), guest)));
+        assert!(
+            main_agrees && deli_agrees,
+            "audit: set {set} diverged from the model, whose MainWays hold {main:?} and DeliWays \
+             {deli:?} (entry, guest), newest first; the kernel has ranks {ranks:?} over tags {:?}, \
+             valid mask {valid:#x}, guest mask {guests:#x}",
+            &self.tags[self.row(set)],
+        );
         let (hits, dh) = (self.hits, self.deli_hits);
         assert!(dh <= hits, "audit: DeliWays hits ({dh}) exceed total hits ({hits})");
         let now = self.audit_counters();
@@ -1241,12 +1270,17 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.window_accesses
     }
 
-    /// Valid entries currently resident in the DeliWays across all sets.
+    /// Valid entries currently resident in the DeliWays across all sets,
+    /// guests included.
     pub fn deli_occupancy(&self) -> u64 {
-        self.valid
-            .iter()
-            .map(|&v| ((v >> self.main_ways) & low_mask(self.deli_ways)).count_ones() as u64)
-            .sum()
+        let mut occupancy = 0;
+        for (row, &valid) in self.ranks.chunks(self.config.ways).zip(&self.valid) {
+            for (way, &rank) in row.iter().enumerate() {
+                occupancy +=
+                    u64::from(usize::from(rank) >= self.main_ways && valid >> way & 1 != 0);
+            }
+        }
+        occupancy
     }
 
     /// Total DeliWays slots across all sets.
@@ -1348,21 +1382,60 @@ mod tests {
         assert_eq!(k.len(), 1);
     }
 
-    #[test]
-    fn unchosen_entries_bypass_deliways() {
-        let mut k = Kernel::init(cfg(1, 4, 2)).expect("valid config");
-        // 2 MainWays, 2 DeliWays; nothing chosen yet, so a working set of
-        // 3 keys thrashes the 2 MainWays exactly like a 2-way LRU.
+    /// Hits of 10 rounds over 3 keys of one unchosen class in a 1-set
+    /// kernel with 2 MainWays and 2 DeliWays, and the kernel after them.
+    fn three_key_loop(admission: DeliAdmission) -> (u32, Kernel) {
+        let mut k = Kernel::init(KernelConfig { deli_admission: admission, ..cfg(1, 4, 2) })
+            .expect("valid config");
         let mut hits = 0;
         for _ in 0..10 {
             for n in 0..3 {
-                if access(&mut k, 1, n) {
-                    hits += 1;
-                }
+                hits += u32::from(access(&mut k, 1, n));
             }
         }
+        (hits, k)
+    }
+
+    #[test]
+    fn unchosen_entries_bypass_deliways() {
+        // Nothing chosen yet, so under the paper's rule a working set of
+        // 3 keys thrashes the 2 MainWays exactly like a 2-way LRU.
+        let (hits, k) = three_key_loop(DeliAdmission::ChosenOnly);
         assert_eq!(hits, 0);
         assert_eq!(k.deli_fills(), 0);
+    }
+
+    #[test]
+    fn unchosen_entries_borrow_deliways_as_guests() {
+        // As guests, the 3 keys fit the 4 ways: only the first round
+        // misses. Every later access hits the guest in the DeliWays, and
+        // its promotion retires the MainWays' LRU entry as the next
+        // guest. Guests never count as a class's fills.
+        let (hits, k) = three_key_loop(DeliAdmission::Guests);
+        assert_eq!((hits, k.deli_hits()), (27, 27));
+        assert_eq!(k.deli_fills(), 28);
+        assert!(k.deli_fills_by_class.is_empty(), "guests are not a class's DeliWays fills");
+    }
+
+    #[test]
+    fn a_chosen_victim_replaces_the_oldest_guest_first() {
+        let mut k = Kernel::init(cfg(1, 4, 2)).expect("valid config");
+        k.enable_audit();
+        // Keys 0..4 of class 2 leave 0 and 1 in the DeliWays as guests.
+        for n in 0..4 {
+            access(&mut k, 2, n);
+        }
+        assert_eq!(k.guests[0].count_ones(), 2);
+        k.force_chosen(&[class(2)]);
+        // Chosen now, the MainWays' LRU entry 2 displaces the oldest
+        // guest, 0, and enters the DeliWays as a chosen entry.
+        let left = k.put(4, class(2), 0).expect("a full set drops an entry");
+        assert_eq!(left.key, 0);
+        assert_eq!(k.guests[0].count_ones(), 1);
+        assert_eq!(k.deli_fills_by_class.get(&class(2)), Some(&1));
+        // The next one displaces guest 1, then the FIFO head, entry 2.
+        assert_eq!(k.put(5, class(2), 0).map(|e| e.key), Some(1));
+        assert_eq!(k.put(6, class(2), 0).map(|e| e.key), Some(2));
     }
 
     #[test]
@@ -1572,8 +1645,9 @@ mod tests {
             access(&mut k, 1, set0(n));
         }
         assert_eq!(k.deli_occupancy(), 2);
-        let deli = k.deli_ranks(0);
-        k.ranks[deli].swap(0, 1);
+        let row = k.row(0);
+        let (newest, oldest) = (rank_way(&k.ranks[row.clone()], 2), rank_way(&k.ranks[row], 3));
+        k.ranks.swap(newest, oldest);
         // The next retirement drops key 1 instead of the FIFO head, key 0.
         k.put(set0(4), class(1), 0);
     }

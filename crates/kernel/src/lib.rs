@@ -16,14 +16,27 @@
 //!
 //! - **MainWays** — ordinary LRU ways. Every insertion lands here.
 //! - **DeliWays** — a FIFO region that *retains* entries evicted from
-//!   the MainWays, but only entries whose insertion class is currently
-//!   *chosen*.
+//!   the MainWays whose insertion class is currently *chosen*.
 //!
 //! The bet is the paper's DelinquentPC observation: a handful of
 //! insertion sources produce most misses, and for some of those
 //! sources the evicted entries come back soon ("near" Next-Use
 //! distance). Retaining exactly those classes converts their misses to
 //! hits at far lower cost than growing the whole cache.
+//!
+//! The paper keeps the DeliWays for the chosen classes alone
+//! ([`DeliAdmission::ChosenOnly`]), so when no class stands out (many
+//! tenants of similar reuse, say) they churn or sit empty and the cache
+//! serves like an LRU cache of its MainWays. The library default,
+//! [`DeliAdmission::Guests`], lends the capacity the chosen classes
+//! leave idle to every other MainWays eviction: an unchosen entry enters
+//! as a *guest* if a DeliWay is free or a guest's can be taken, and
+//! leaves the cache otherwise. A chosen entry takes a free DeliWay, then
+//! the oldest guest's, then the FIFO head's, so guests always leave
+//! first and a chosen class keeps the lifetime the selector modelled.
+//! Guests never count as a class's DeliWays fills. With no class chosen
+//! (and [`KernelConfig::promote_on_deli_hit`], the default) the kernel
+//! is then exactly an LRU cache of its whole geometry.
 //!
 //! # Epoch flow
 //!
@@ -47,17 +60,20 @@
 //!    halve, so selection adapts to phase changes while keeping
 //!    history.
 //!
-//! Between epochs the data path is cheap: a MainWays hit reorders the
-//! set's 8-bit LRU ranks and allocates nothing, and every lookup a miss
-//! adds (the miss tracker, the chosen-class test, the Next-Use buffer)
-//! takes constant time.
+//! Between epochs the data path is cheap: a hit reorders the set's
+//! 8-bit ranks and allocates nothing, and every lookup a miss adds (the
+//! miss tracker, the chosen-class test, the Next-Use buffer) takes
+//! constant time. An entry never moves between frames: each frame's
+//! rank carries its region, so retiring into the DeliWays and promoting
+//! back out are rank updates.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use nucache_kernel::{InsertionClass, KernelConfig, Lookup, NucacheKernel};
 //!
-//! // 64 sets x 8 ways, 4 of which retain evictions of chosen classes.
+//! // 64 sets x 8 ways, 4 of which retain evictions of chosen classes
+//! // and lend what those leave idle to the others.
 //! let config = KernelConfig::default()
 //!     .with_sets(64)
 //!     .with_ways(8)
@@ -109,7 +125,9 @@
 //! - `concurrent` *(default, implies `std`)* — the sharded thread-safe
 //!   front-end ([`concurrent::ConcurrentNucache`]): keys hash to one of
 //!   N independently locked kernels, and a background epoch driver runs
-//!   each shard's cost-benefit selection outside the shard lock.
+//!   each shard's cost-benefit selection outside the shard lock. A
+//!   shard whose epochs nothing runs never chooses a class; under
+//!   [`DeliAdmission::Guests`] it is then an LRU cache of its geometry.
 //!
 //! # Observability
 //!
@@ -118,8 +136,8 @@
 //! Next-Use quantiles); [`NucacheKernel::enable_audit`] turns on a
 //! differential oracle that replays every `get`, `put` and `remove` into
 //! a textbook model of the replacement (per set, the MainWays in LRU
-//! order and the DeliWays in FIFO order) and checks epoch invariants,
-//! panicking at the first divergence.
+//! order and the DeliWays in FIFO order with their guests marked) and
+//! checks epoch invariants, panicking at the first divergence.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -145,9 +163,9 @@ pub mod tracker;
 
 pub use class::InsertionClass;
 pub use config::{
-    ConfigError, KernelConfig, SelectionStrategy, DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN,
-    DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS, HISTOGRAM_BUCKETS,
-    MAX_CANDIDATES,
+    ConfigError, DeliAdmission, KernelConfig, SelectionStrategy, DEFAULT_DELI_WAYS,
+    DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS,
+    HISTOGRAM_BUCKETS, MAX_CANDIDATES,
 };
 pub use kernel::{
     ClassSnapshot, EpochInputs, EpochSummary, Evicted, Lookup, NucacheKernel, Region,

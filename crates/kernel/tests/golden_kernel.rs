@@ -37,11 +37,18 @@
 //!   sets × 8 ways with 4 DeliWays;
 //! * `loop-stream`: 64 sets × 16 ways with 8 DeliWays, one class looping
 //!   over 768 keys while another streams through fresh ones.
+//!
+//! Those 29 rows run the paper's DeliWays admission,
+//! `DeliAdmission::ChosenOnly`, which the simulator uses; their digests
+//! predate guest admission. Three more rows repeat the `defaults`,
+//! `none-d2` and `loop-stream` rows under the library default,
+//! `DeliAdmission::Guests`: `guests-defaults`, `guests-none-d2` and
+//! `guests-loop-stream`.
 
 #![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
 
 use nucache_kernel::{
-    InsertionClass, KernelConfig, Lookup, NucacheKernel, Region, SelectionStrategy,
+    DeliAdmission, InsertionClass, KernelConfig, Lookup, NucacheKernel, Region, SelectionStrategy,
 };
 
 /// Expected digest per row.
@@ -75,7 +82,15 @@ const EXPECTED: &[(&str, u64)] = &[
     ("sampled-s1", 0xa938c207b6e4d193),
     ("sampled-s2", 0xc62857c046495ada),
     ("loop-stream", 0x836c750d1e15836a),
+    ("guests-defaults", 0x8aaf89c5863026ce),
+    ("guests-none-d2", 0x77faa69bf68c277d),
+    ("guests-loop-stream", 0x99ea3509bb852822),
 ];
+
+/// `config` under the paper's DeliWays admission.
+fn chosen_only(config: KernelConfig) -> KernelConfig {
+    KernelConfig { deli_admission: DeliAdmission::ChosenOnly, ..config }
+}
 
 /// FNV-1a over little-endian words.
 struct Digest(u64);
@@ -279,7 +294,7 @@ fn run(config: KernelConfig, stream: impl Iterator<Item = Op>, deferred: bool) -
 /// says otherwise, and epochs of at most a few hundred accesses.
 fn grid() -> Vec<(String, u64)> {
     let small = |sets: usize, ways: usize, deli: usize, epoch_len: u64| {
-        let mut config = KernelConfig::default()
+        let mut config = chosen_only(KernelConfig::default())
             .with_sets(sets)
             .with_ways(ways)
             .with_deli_ways(deli)
@@ -315,16 +330,21 @@ fn grid() -> Vec<(String, u64)> {
     }
     let anchor = small(64, 16, 8, 2_000);
     rows.push(("loop-stream".to_string(), run(anchor, loop_stream(), false)));
+    let guests =
+        |config: KernelConfig| KernelConfig { deli_admission: DeliAdmission::Guests, ..config };
+    let none_d2 = guests(small(8, 4, 2, 97).with_strategy(SelectionStrategy::None));
+    rows.push(("guests-none-d2".to_string(), run(none_d2, uniform(3, 96).take(3_000), false)));
+    rows.push(("guests-loop-stream".to_string(), run(guests(anchor), loop_stream(), false)));
     rows
 }
 
 /// Every row with its freshly computed digest.
 fn computed() -> Vec<(String, u64)> {
-    let defaults = KernelConfig::default();
+    let defaults = chosen_only(KernelConfig::default());
     let mut refresh = defaults;
     refresh.promote_on_deli_hit = false;
     refresh.deli_hit_refresh = true;
-    let mut deep = KernelConfig::default().with_sets(64).with_ways(8).with_deli_ways(4);
+    let mut deep = defaults.with_sets(64).with_ways(8).with_deli_ways(4);
     deep.epoch_len = 8_192;
     deep.monitor_shift = 0;
     deep.monitor_depth = 100;
@@ -336,6 +356,8 @@ fn computed() -> Vec<(String, u64)> {
         ("deferred".to_string(), run(defaults, Stream::new(1, 2_048).take(ops), true)),
     ];
     rows.extend(grid());
+    let guests = KernelConfig::default();
+    rows.push(("guests-defaults".to_string(), run(guests, Stream::new(1, 2_048).take(ops), false)));
     rows
 }
 

@@ -4,12 +4,14 @@
 //! Every test drives a `NucacheKernel` with `enable_audit` on, so each
 //! `get`, `put` and `remove` is replayed into the kernel's textbook model
 //! of its replacement (per set, the MainWays in LRU order and the
-//! DeliWays in FIFO order, with DeliWays admission from the model's own
-//! copy of the chosen set). The kernel must agree with the model on hit
-//! or miss, the region, the entry that left the cache and both orders of
-//! the set; a divergence panics with an `audit:` message. The streams
-//! mix get-then-put accesses, accesses that also overwrite a hit in
-//! place (possibly with another class) and removes.
+//! DeliWays in FIFO order with their guests marked, and DeliWays
+//! admission from the model's own copy of the chosen set). The kernel
+//! must agree with the model on hit or miss, the region, the entry that
+//! left the cache and both orders of the set; a divergence panics with
+//! an `audit:` message. Every test runs under both DeliWays admission
+//! rules, the paper's `ChosenOnly` and the library default `Guests`. The
+//! streams mix get-then-put accesses, accesses that also overwrite a hit
+//! in place (possibly with another class) and removes.
 //!
 //! The epoch sequencing the old suite compared against its copy of the
 //! pre-kernel code (tick, snapshot, decay, install) is pinned by the
@@ -17,7 +19,9 @@
 
 #![allow(clippy::expect_used, reason = "test helpers fail the test on a broken invariant")]
 
-use nucache_kernel::{InsertionClass, KernelConfig, NucacheKernel, SelectionStrategy};
+use nucache_kernel::{
+    DeliAdmission, InsertionClass, KernelConfig, NucacheKernel, SelectionStrategy,
+};
 use proptest::prelude::*;
 
 /// What a step does with its key.
@@ -57,15 +61,24 @@ fn strategy_choice() -> impl Strategy<Value = SelectionStrategy> {
     })
 }
 
-/// `sets` × `ways` with `deli` DeliWays, epochs of `epoch_len` accesses
-/// and every set sampled.
-fn small(sets: usize, ways: usize, deli: usize, epoch_len: u64) -> KernelConfig {
+fn admission(guests: bool) -> DeliAdmission {
+    if guests {
+        DeliAdmission::Guests
+    } else {
+        DeliAdmission::ChosenOnly
+    }
+}
+
+/// `sets` × `ways` with `deli` DeliWays, epochs of `epoch_len` accesses,
+/// every set sampled and guest admission if `guests`.
+fn small(sets: usize, ways: usize, deli: usize, epoch_len: u64, guests: bool) -> KernelConfig {
     let mut config = KernelConfig::default()
         .with_sets(sets)
         .with_ways(ways)
         .with_deli_ways(deli)
         .with_epoch_len(epoch_len);
     config.monitor_shift = 0;
+    config.deli_admission = admission(guests);
     config
 }
 
@@ -108,8 +121,9 @@ proptest! {
         deli in 0usize..4,
         strategy in strategy_choice(),
         epoch_len in 40u64..220,
+        guests in any::<bool>(),
     ) {
-        run(small(8, 4, deli, epoch_len).with_strategy(strategy), steps);
+        run(small(8, 4, deli, epoch_len, guests).with_strategy(strategy), steps);
     }
 
     /// FIFO aging without promotion, with and without the second-chance
@@ -119,8 +133,9 @@ proptest! {
         steps in prop::collection::vec(step_strategy(64), 1..800),
         refresh in any::<bool>(),
         epoch_len in 40u64..160,
+        guests in any::<bool>(),
     ) {
-        let mut config = small(4, 8, 3, epoch_len);
+        let mut config = small(4, 8, 3, epoch_len, guests);
         config.promote_on_deli_hit = false;
         config.deli_hit_refresh = refresh;
         run(config, steps);
@@ -131,8 +146,9 @@ proptest! {
     fn kernel_matches_model_sampled_monitor(
         steps in prop::collection::vec(step_strategy(512), 1..1200),
         shift in 1u32..3,
+        guests in any::<bool>(),
     ) {
-        let mut config = small(16, 8, 4, 100);
+        let mut config = small(16, 8, 4, 100, guests);
         config.monitor_shift = shift;
         run(config, steps);
     }
@@ -141,16 +157,18 @@ proptest! {
 /// A deterministic run at the paper's geometry (64 sets × 16 ways, 8
 /// DeliWays) that the selector bites on: class 1 loops over 768 keys,
 /// more than the MainWays hold, while class 2 streams through fresh keys
-/// every other round.
+/// every other round. Under both admission rules.
 #[test]
 fn kernel_matches_model_loop_stream() {
     let rounds = if cfg!(miri) { 3_000 } else { 30_000 };
-    let steps = (0..rounds).flat_map(|round| {
-        let streaming = (round % 2 == 0).then_some((2, (1 << 20) + round / 2, Kind::Read));
-        std::iter::once((1, round % 768, Kind::Read)).chain(streaming)
-    });
-    let k = run(small(64, 16, 8, 2_000), steps);
-    assert!(k.epochs() >= 2, "the stream must cross epochs");
-    assert!(k.deli_hits() > 0, "the stream must hit in the DeliWays");
-    assert_eq!(k.chosen_classes(), [InsertionClass::new(1)], "the loop is chosen");
+    for guests in [false, true] {
+        let steps = (0..rounds).flat_map(|round| {
+            let streaming = (round % 2 == 0).then_some((2, (1 << 20) + round / 2, Kind::Read));
+            std::iter::once((1, round % 768, Kind::Read)).chain(streaming)
+        });
+        let k = run(small(64, 16, 8, 2_000, guests), steps);
+        assert!(k.epochs() >= 2, "the stream must cross epochs");
+        assert!(k.deli_hits() > 0, "the stream must hit in the DeliWays");
+        assert_eq!(k.chosen_classes(), [InsertionClass::new(1)], "the loop is chosen");
+    }
 }

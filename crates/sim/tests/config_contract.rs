@@ -7,16 +7,19 @@
 //! the docs or the constant it is named after.
 
 use nucache_cache::config::DEFAULT_BLOCK_BYTES;
+use nucache_cache::CacheGeometry;
+use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 use nucache_kernel::{
-    KernelConfig, DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_DEPTH,
-    DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS,
+    DeliAdmission, InsertionClass, KernelConfig, NucacheKernel, SelectionStrategy,
+    DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT,
+    DEFAULT_SETS, DEFAULT_WAYS,
 };
 use nucache_sim::config::{
     BASELINE_L1_BYTES, BASELINE_L1_WAYS, BASELINE_L2_BYTES, BASELINE_L2_WAYS,
     BASELINE_LLC_BYTES_PER_CORE, BASELINE_LLC_WAYS, BASELINE_MEASURE_ACCESSES, BASELINE_SEED,
     BASELINE_WARMUP_ACCESSES,
 };
-use nucache_sim::SimConfig;
+use nucache_sim::{Scheme, SimConfig};
 
 #[test]
 fn baseline_sim_config_uses_named_constants() {
@@ -64,4 +67,30 @@ fn kernel_defaults_match_simulator_design_point() {
     assert_eq!(k.epoch_len, DEFAULT_EPOCH_LEN);
     assert_eq!(k.monitor_shift, DEFAULT_MONITOR_SHIFT);
     assert_eq!(k.monitor_depth, DEFAULT_MONITOR_DEPTH);
+}
+
+/// The one policy default that is not the simulator's design point: the
+/// library admits guests into the DeliWays, and the simulator lowers
+/// every NUcache configuration to the paper's rule. With no class ever
+/// chosen, a loop over 3 lines of a 4-way set with 2 DeliWays then
+/// thrashes the simulated LLC like a 2-way LRU, while a kernel at the
+/// library default keeps the loop in its 4 ways.
+#[test]
+fn simulator_lowers_deli_admission_to_the_papers_rule() {
+    assert_eq!(KernelConfig::default().deli_admission, DeliAdmission::Guests);
+    let config = KernelConfig::default().with_strategy(SelectionStrategy::None).with_deli_ways(2);
+    let geom = CacheGeometry::new(4 * u64::from(DEFAULT_BLOCK_BYTES), 4, DEFAULT_BLOCK_BYTES);
+    let mut llc = Scheme::NuCache(config).build(geom, 1, BASELINE_SEED);
+    let mut kernel: NucacheKernel<()> =
+        NucacheKernel::init(config.with_sets(1).with_ways(4)).expect("valid config");
+    for _ in 0..10 {
+        for line in 0..3 {
+            llc.access(CoreId::new(0), Pc::new(1), LineAddr::new(line), AccessKind::Read);
+            if !kernel.get(line, InsertionClass::new(1)).is_hit() {
+                kernel.put(line, InsertionClass::new(1), ());
+            }
+        }
+    }
+    assert_eq!(llc.stats().hits, 0, "the simulated LLC admits chosen PCs only");
+    assert_eq!(kernel.hits(), 27, "the library kernel lends its DeliWays to guests");
 }
