@@ -551,8 +551,8 @@ impl LockCx<'_> {
         // two sites means the first one's sub-statement (and with it the
         // temporary) has already ended. The cost is that `let`-bound
         // guards *inside* swallowed closures get no cross-statement
-        // liveness tracking; the interleaving explorer covers those
-        // seams dynamically.
+        // liveness tracking; the threaded tests under TSan cover those
+        // dynamically.
         let stmts: Vec<std::ops::Range<usize>> =
             cfg.blocks.iter().flat_map(|b| b.stmts.iter().map(|s| s.tokens.clone())).collect();
         let semi_between =

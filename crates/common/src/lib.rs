@@ -36,9 +36,6 @@ pub mod addr;
 #[cfg(feature = "std")]
 pub mod fault;
 pub mod histogram;
-#[cfg(any(test, feature = "interleave"))]
-#[cfg(feature = "std")]
-pub mod interleave;
 #[cfg(feature = "std")]
 pub mod json;
 pub mod rng;

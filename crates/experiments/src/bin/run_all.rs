@@ -66,20 +66,11 @@ fn write_bench_summary(jobs: usize, total_seconds: f64, steps: &[StepStats]) {
 /// Runs every step on `runner`, isolating a panicking step.
 fn run_steps(runner: &Runner) {
     let jobs = runner.jobs();
-    let policy = runner.policy();
-    let watchdog = match policy.watchdog_secs {
-        Some(nucache_sim::runner::DEFAULT_WATCHDOG_SECS) => String::new(),
-        Some(secs) => format!(", watchdog {secs}s"),
-        None => ", watchdog off".to_string(),
-    };
     let quick = match nucache_experiments::quick_divisor() {
         1 => String::new(),
         div => format!(", quick /{div}"),
     };
-    eprintln!(
-        "[run_all] using {jobs} worker thread{}{watchdog}{quick}",
-        if jobs == 1 { "" } else { "s" },
-    );
+    eprintln!("[run_all] using {jobs} worker thread{}{quick}", if jobs == 1 { "" } else { "s" },);
 
     let t0 = Instant::now();
     let mut stats: Vec<StepStats> = Vec::new();

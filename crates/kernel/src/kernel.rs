@@ -114,9 +114,11 @@ pub struct EpochSummary<C> {
     pub expected_hits: u64,
     /// The extra lifetime (set-accesses) of the chosen set.
     pub extra_lifetime: u64,
-    /// Cumulative DeliWays hits at the snapshot.
+    /// Cumulative DeliWays hits at the snapshot, hits on guests
+    /// included (under [`DeliAdmission::Guests`]).
     pub deli_hits: u64,
-    /// Cumulative DeliWays fills at the snapshot.
+    /// Cumulative DeliWays fills at the snapshot, guest fills included
+    /// (under [`DeliAdmission::Guests`]).
     pub deli_fills: u64,
     /// Valid DeliWays entries at the snapshot.
     pub deli_occupancy: u64,
@@ -1208,12 +1210,15 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         self.misses
     }
 
-    /// Hits satisfied from the DeliWays.
+    /// Hits satisfied from the DeliWays. Under
+    /// [`DeliAdmission::Guests`] this counts hits on guests too.
     pub const fn deli_hits(&self) -> u64 {
         self.deli_hits
     }
 
-    /// Entries moved from MainWays into DeliWays.
+    /// Entries moved from MainWays into DeliWays. Under
+    /// [`DeliAdmission::Guests`] this counts guests too; the per-class
+    /// fills the selector reads never do.
     pub const fn deli_fills(&self) -> u64 {
         self.deli_fills
     }
@@ -1633,6 +1638,38 @@ mod tests {
                 "{ways} ways: the put filled a frame next to the planted copy"
             );
             assert_eq!(evicted.map(|e| e.value), (ways - deli == 1).then_some(1));
+        }
+    }
+
+    /// Two requests for one key, each a `get` and, on a miss, a `put`:
+    /// the sharded front-end takes the shard lock for each step apart, so
+    /// the other request can run in between. Every order of the four
+    /// steps leaves the key resident once, with one request's value.
+    #[test]
+    fn two_misses_then_two_puts_of_one_key_leave_it_resident_once() {
+        // The request that takes each step; a request's first step is its
+        // get, its second the put.
+        const ORDERS: [[usize; 4]; 6] =
+            [[0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 1, 0], [1, 1, 0, 0]];
+        for (ways, deli) in PROBE_GEOMETRIES {
+            for order in ORDERS {
+                let mut k = audited(ways, deli);
+                let key = set0(1);
+                let values = [1, 2];
+                let mut hit: [Option<bool>; 2] = [None; 2];
+                for request in order {
+                    match hit[request] {
+                        None => hit[request] = Some(k.get(key, class(1)).is_hit()),
+                        Some(false) => assert!(k.put(key, class(1), values[request]).is_none()),
+                        Some(true) => {}
+                    }
+                }
+                let hits: u64 = hit.iter().map(|&h| u64::from(h == Some(true))).sum();
+                let at = format!("{ways} ways, order {order:?}");
+                assert_eq!(k.len(), 1, "{at}: the key is stored once");
+                assert!(matches!(k.peek(key), Some(&1 | &2)), "{at}: one request's value");
+                assert_eq!((k.hits(), k.misses()), (hits, 2 - hits), "{at}: what the gets saw");
+            }
         }
     }
 

@@ -47,9 +47,7 @@
 //! * every job runs under `catch_unwind` — [`try_parallel_map`] /
 //!   [`Runner::try_run_jobs`] return a per-item `Result`, so one
 //!   panicking job is recorded as a [`JobFailure`] while the rest of the
-//!   batch completes;
-//! * a [`JobPolicy`] adds a wall-clock watchdog that flags (never
-//!   kills) stuck jobs; a failed job is not retried, since every job is
+//!   batch completes; a failed job is not retried, since every job is
 //!   a pure function of its inputs and would fail again;
 //! * telemetry I/O errors degrade (dropped stream, single stderr
 //!   warning, manifest note) rather than abort — simulation results are
@@ -95,9 +93,6 @@ pub use driver::{
 };
 pub use nucache_cache::AuditStats;
 pub use nucache_common::fault::{FaultPlan, FaultSite};
-pub use runner::{
-    panic_message, parallel_map, try_parallel_map, JobFailure, JobPolicy, ParallelReport, Runner,
-    StuckJob,
-};
+pub use runner::{panic_message, parallel_map, try_parallel_map, JobFailure, Runner};
 pub use scheme::Scheme;
 pub use telemetry::{write_manifest, FailureRecord, Manifest, TelemetrySpec};

@@ -145,7 +145,7 @@ pub struct Manifest {
     /// result.
     pub failures: Vec<FailureRecord>,
     /// Graceful degradations that did not fail anything (lost telemetry
-    /// streams, stuck-job watchdog flags, …).
+    /// streams, unwritable CSVs).
     pub notes: Vec<String>,
 }
 

@@ -9,7 +9,7 @@
 
 use nucache_common::fault::{FaultPlan, FaultSite};
 use nucache_sim::telemetry::stream_path;
-use nucache_sim::{JobPolicy, Runner, Scheme, SimConfig, TelemetrySpec};
+use nucache_sim::{Runner, Scheme, SimConfig, TelemetrySpec};
 use nucache_trace::{Mix, SpecWorkload};
 
 fn config() -> SimConfig {
@@ -25,11 +25,6 @@ fn job_list(n: usize) -> Vec<(Mix, Scheme)> {
             (mix, scheme)
         })
         .collect()
-}
-
-/// No watchdog, so the tests stay quiet.
-fn quiet_policy() -> JobPolicy {
-    JobPolicy { watchdog_secs: None }
 }
 
 /// Silences the default panic hook for the faults this suite injects on
@@ -54,15 +49,14 @@ fn quiet_injected_panics() {
 }
 
 #[test]
-fn disabled_injection_and_policy_are_invisible() {
+fn disabled_injection_and_worker_count_are_invisible() {
     let jobs = job_list(4);
     let base = Runner::new().with_jobs(2).run_jobs(&config(), &jobs);
-    // A different worker count and a live watchdog must both be pure
-    // observation.
-    let hardened = Runner::new().with_jobs(3).with_policy(JobPolicy { watchdog_secs: Some(3_600) });
-    assert_eq!(format!("{base:?}"), format!("{:?}", hardened.run_jobs(&config(), &jobs)));
-    assert!(hardened.failures().is_empty());
-    assert!(hardened.degradations().is_empty());
+    // A different worker count must be pure scheduling.
+    let other = Runner::new().with_jobs(3);
+    assert_eq!(format!("{base:?}"), format!("{:?}", other.run_jobs(&config(), &jobs)));
+    assert!(other.failures().is_empty());
+    assert!(other.degradations().is_empty());
 }
 
 #[test]
@@ -81,7 +75,7 @@ fn injected_worker_panics_isolate_jobs_deterministically() {
     let expected_failures: Vec<u64> =
         (0..8).filter(|&i| plan.should_fault(FaultSite::WorkerPanic, i)).collect();
 
-    let runner = Runner::new().with_jobs(3).with_policy(quiet_policy()).with_fault_plan(Some(plan));
+    let runner = Runner::new().with_jobs(3).with_fault_plan(Some(plan));
     let results = runner.try_run_jobs(&config(), &jobs);
     let clean = Runner::new().with_jobs(2).run_jobs(&config(), &jobs);
 
@@ -112,11 +106,8 @@ fn injected_worker_panics_isolate_jobs_deterministically() {
     assert!(runner.degradations().is_empty(), "{:?}", runner.degradations());
 
     // Same plan, fresh runner: bit-identical outcomes.
-    let again = Runner::new()
-        .with_jobs(5)
-        .with_policy(quiet_policy())
-        .with_fault_plan(Some(plan))
-        .try_run_jobs(&config(), &jobs);
+    let again =
+        Runner::new().with_jobs(5).with_fault_plan(Some(plan)).try_run_jobs(&config(), &jobs);
     assert_eq!(format!("{results:?}"), format!("{again:?}"));
 }
 
@@ -142,11 +133,7 @@ fn injected_telemetry_faults_degrade_without_changing_results() {
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let spec = TelemetrySpec { dir: dir.clone(), snapshot_interval: 2_000 };
 
-    let runner = Runner::new()
-        .with_jobs(2)
-        .with_policy(quiet_policy())
-        .with_fault_plan(Some(plan))
-        .with_telemetry(Some(spec));
+    let runner = Runner::new().with_jobs(2).with_fault_plan(Some(plan)).with_telemetry(Some(spec));
     let results = runner.try_run_jobs(&config(), &jobs);
 
     // Telemetry faults never fail a job or change its result.

@@ -227,19 +227,16 @@ proptest! {
         items in prop::collection::vec((0u64..1000, prop::bool::weighted(0.25)), 0..40),
         workers in 1usize..9,
     ) {
-        use nucache_repro::sim::{try_parallel_map, JobFailure, JobPolicy, ParallelReport, StuckJob};
+        use nucache_repro::sim::{try_parallel_map, JobFailure};
 
         quiet_injected_panics();
-        let policy = JobPolicy { watchdog_secs: None };
         let f = |&(value, poisoned): &(u64, bool)| {
             assert!(!poisoned, "injected test panic on {value}");
             value.wrapping_mul(3) ^ 1
         };
-        let report: ParallelReport<u64> = try_parallel_map(workers, &items, &policy, f);
-        let stuck: &[StuckJob] = &report.stuck;
-        prop_assert!(stuck.is_empty(), "no watchdog, no flags: {stuck:?}");
-        prop_assert_eq!(report.results.len(), items.len());
-        for (i, ((value, poisoned), result)) in items.iter().zip(&report.results).enumerate() {
+        let results: Vec<Result<u64, JobFailure>> = try_parallel_map(workers, &items, f);
+        prop_assert_eq!(results.len(), items.len());
+        for (i, ((value, poisoned), result)) in items.iter().zip(&results).enumerate() {
             if *poisoned {
                 let failure: &JobFailure = result.as_ref().expect_err("poisoned items must fail");
                 prop_assert_eq!(failure.index, i);
@@ -251,9 +248,8 @@ proptest! {
                 prop_assert_eq!(result.as_ref().ok(), Some(&(value.wrapping_mul(3) ^ 1)));
             }
         }
-        // The parallel report must agree with a fully serial run.
-        let serial = try_parallel_map(1, &items, &policy, f);
-        prop_assert_eq!(&report.results, &serial.results);
+        // The parallel results must agree with a fully serial run.
+        prop_assert_eq!(&results, &try_parallel_map(1, &items, f));
     }
 }
 
