@@ -87,4 +87,4 @@ pub mod llc;
 pub mod overhead;
 
 pub use llc::NuCache;
-pub use nucache_kernel::{KernelConfig, SelectionStrategy, MAX_CANDIDATES};
+pub use nucache_kernel::{KernelConfig, SelectionStrategy, MAX_CANDIDATES, MONITOR_DEPTH};

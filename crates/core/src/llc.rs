@@ -418,9 +418,7 @@ mod tests {
 
     #[test]
     fn deli_hit_promotion_moves_line_to_main() {
-        let mut config = test_config(2);
-        config.promote_on_deli_hit = true;
-        let mut llc = NuCache::new(geom(1, 4), 1, config);
+        let mut llc = NuCache::new(geom(1, 4), 1, test_config(2));
         llc.kernel.force_chosen(&[Pc::new(1)]);
         // Fill MainWays with lines 0,1; push 0 into DeliWays with 2.
         read(&mut llc, 1, 0);
@@ -433,32 +431,6 @@ mod tests {
         // must evict some other line, not 0.
         read(&mut llc, 1, 3);
         assert!(read(&mut llc, 1, 0).is_hit());
-    }
-
-    #[test]
-    fn deli_hit_refresh_extends_retention() {
-        // Without refresh: lines 0 and 1 are pushed into the 2-deep FIFO,
-        // then recurring hits on 0 do not save it from being dropped when
-        // two more lines arrive. With refresh, the hit moves 0 to the
-        // FIFO tail, so the *unused* line is dropped instead.
-        let run = |refresh: bool| {
-            let mut config = test_config(2);
-            config.promote_on_deli_hit = false;
-            config.deli_hit_refresh = refresh;
-            let mut llc = NuCache::new(geom(1, 4), 1, config);
-            llc.kernel.force_chosen(&[Pc::new(1)]);
-            read(&mut llc, 1, 0);
-            read(&mut llc, 1, 1);
-            read(&mut llc, 1, 2); // evicts 0 -> FIFO
-            read(&mut llc, 1, 3); // evicts 1 -> FIFO (0 is FIFO head)
-            assert!(read(&mut llc, 1, 0).is_hit()); // deli hit on 0
-                                                    // One more arrival: pure FIFO drops head (= 0); with refresh
-                                                    // the hit moved 0 to the tail, so 1 is dropped instead.
-            read(&mut llc, 1, 4); // evicts 2 -> FIFO drops one line
-            read(&mut llc, 1, 0).is_hit()
-        };
-        assert!(!run(false), "pure FIFO drops the reused line on schedule");
-        assert!(run(true), "second-chance FIFO keeps the reused line");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use nucache_cache::shadow::DEFAULT_UMON_SHIFT;
 use nucache_common::table::{f2, f3, Table};
 use nucache_common::CoreId;
 use nucache_core::overhead::{nucache_overhead, pipp_overhead, tadip_overhead, ucp_overhead};
-use nucache_core::{KernelConfig, MAX_CANDIDATES};
+use nucache_core::{KernelConfig, MAX_CANDIDATES, MONITOR_DEPTH};
 use nucache_cpu::{L1_HIT_LATENCY, L2_HIT_LATENCY, LLC_HIT_LATENCY, MEMORY_LATENCY};
 use nucache_sim::config::{BASELINE_LLC_BYTES_PER_CORE, BASELINE_LLC_WAYS};
 use nucache_sim::runner::{parallel_map, Runner};
@@ -50,7 +50,7 @@ pub fn table1(runner: &Runner) {
     row("NUcache candidates", format!("{MAX_CANDIDATES}"));
     row(
         "Next-Use monitor",
-        format!("1 set in {}, {} entries/set", 1 << nu.monitor_shift, nu.monitor_depth),
+        format!("1 set in {}, {MONITOR_DEPTH} entries/set", 1 << nu.monitor_shift),
     );
     row(
         "UCP/PIPP epoch",

@@ -1,8 +1,8 @@
 //! The NUcache keyed-cache state machine: MainWays + DeliWays.
 
 use crate::config::{
-    fits, ConfigError, DeliAdmission, KernelConfig, SelectionStrategy, HISTOGRAM_BUCKETS,
-    MAX_CANDIDATES, ORACLE_POOL, TRACKER_SLOTS,
+    fits, ConfigError, DeliAdmission, KernelConfig, SelectionStrategy, MAX_CANDIDATES,
+    MONITOR_DEPTH, ORACLE_POOL, TRACKER_SLOTS,
 };
 use crate::index::ClassIndex;
 use crate::model::ReplacementModel;
@@ -15,9 +15,7 @@ use alloc::vec::Vec;
 use core::fmt::Debug;
 use core::hash::Hash;
 use core::mem;
-use nucache_common::tags::{
-    eq_mask, rank_insert, rank_oldest, rank_oldest_in, rank_touch, rank_way,
-};
+use nucache_common::tags::{eq_mask, rank_oldest, rank_oldest_in, rank_touch, rank_way};
 
 /// Candidate classes included per [`EpochSummary`] snapshot; enough to
 /// cover every realistic chosen set (DeliWays ≤ 16) with headroom for
@@ -74,9 +72,8 @@ pub enum Lookup<'a, V, C> {
         value: &'a mut V,
         /// Where the entry was found *before* any hit-promotion moved it.
         region: Region,
-        /// With `promote_on_deli_hit`, promoting a DeliWays hit back into
-        /// the MainWays can displace another entry out of the cache; it
-        /// is reported here.
+        /// Promoting a DeliWays hit back into the MainWays can displace
+        /// another entry out of the cache; it is reported here.
         evicted: Option<Evicted<V, C>>,
     },
     /// The key is not resident. The kernel has recorded the miss (class
@@ -364,7 +361,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             return Err(ConfigError::TooManyFrames { sets: config.sets, ways: config.ways });
         }
         if !config.monitor_slots().is_some_and(|n| fits(n, mem::size_of::<Option<(C, u64)>>())) {
-            return Err(ConfigError::MonitorTooLarge(config.monitor_depth));
+            return Err(config.monitor_too_large());
         }
         let set_bits = config.sets.trailing_zeros();
         let mut entries = Vec::with_capacity(frames);
@@ -382,12 +379,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             entries,
             ranks: row.repeat(config.sets),
             guests: vec![0; config.sets],
-            monitor: NextUseMonitor::new(
-                set_bits,
-                config.monitor_shift.min(set_bits),
-                config.monitor_depth,
-                HISTOGRAM_BUCKETS,
-            ),
+            monitor: NextUseMonitor::new(set_bits, config.monitor_shift.min(set_bits)),
             tracker: DelinquentTracker::with_seed(TRACKER_SLOTS, config.seed),
             deli_fills_by_class: BTreeMap::new(),
             chosen: Vec::new(),
@@ -610,30 +602,23 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
             // eviction: feed it to the monitor so chosen classes keep
             // their Next-Use evidence instead of oscillating out.
             self.monitor.on_next_use(key);
-            if self.config.promote_on_deli_hit {
-                // Promote the hit entry to the most recently used MainWay,
-                // in its frame. With a free MainWay the two frames trade
-                // ranks, so nothing leaves the MainWays. Otherwise their
-                // LRU entry retires into the room the promotion frees, the
-                // DeliWays' newest rank, if the DeliWays take it in, and
-                // leaves the cache if not.
-                self.guests[set] &= !(1u64 << way);
-                if let Some(free) = self.free_way(set, true) {
-                    let (hit, free) = (self.frame(set, way), self.frame(set, free));
-                    self.ranks.swap(hit, free);
-                } else {
-                    let victim = self.main_victim(set);
-                    if self.retire_from_main(set, victim, Some(way)).is_none() {
-                        evicted = self.invalidate(set, victim);
-                    }
+            // Promote the hit entry to the most recently used MainWay, in
+            // its frame. With a free MainWay the two frames trade ranks, so
+            // nothing leaves the MainWays. Otherwise their LRU entry
+            // retires into the room the promotion frees, the DeliWays'
+            // newest rank, if the DeliWays take it in, and leaves the cache
+            // if not.
+            self.guests[set] &= !(1u64 << way);
+            if let Some(free) = self.free_way(set, true) {
+                let (hit, free) = (self.frame(set, way), self.frame(set, free));
+                self.ranks.swap(hit, free);
+            } else {
+                let victim = self.main_victim(set);
+                if self.retire_from_main(set, victim, Some(way)).is_none() {
+                    evicted = self.invalidate(set, victim);
                 }
-                self.touch(set, way);
-            } else if self.config.deli_hit_refresh {
-                // Second-chance FIFO: an actively reused entry moves to
-                // the FIFO tail instead of aging out on schedule.
-                let row = self.row(set);
-                rank_insert(&mut self.ranks[row], way, self.deli_ways - 1);
             }
+            self.touch(set, way);
         }
         if self.audit.is_some() {
             let left = evicted.as_ref().map(|e| (e.key, e.class));
@@ -803,11 +788,6 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         if !deferred {
             self.pending_inputs = None;
         }
-    }
-
-    /// Whether epoch selection is deferred to an external driver.
-    pub const fn deferred_selection(&self) -> bool {
-        self.deferred
     }
 
     /// Whether a deferred epoch snapshot is waiting to be
@@ -1120,7 +1100,7 @@ impl<V, C: Copy + Ord + Hash + Debug> NucacheKernel<V, C> {
         // Every monitor match consumes a buffered eviction recorded
         // either in this decay window or already buffered when it
         // started.
-        let buffer_cap = (self.config.monitor_depth * self.monitor.sampled_sets()) as u64;
+        let buffer_cap = (MONITOR_DEPTH * self.monitor.sampled_sets()) as u64;
         let (rec, mat) = (self.monitor.recorded(), self.monitor.matched());
         #[expect(clippy::expect_used, reason = "the epoch check runs only while auditing")]
         let a = self.audit.as_mut().expect("epoch check runs only while auditing");
@@ -1485,9 +1465,7 @@ mod tests {
 
     #[test]
     fn promotion_moves_entry_to_main() {
-        let mut config = cfg(1, 4, 2);
-        config.promote_on_deli_hit = true;
-        let mut k = Kernel::init(config).expect("valid config");
+        let mut k = Kernel::init(cfg(1, 4, 2)).expect("valid config");
         k.force_chosen(&[class(1)]);
         access(&mut k, 1, 0);
         access(&mut k, 1, 1);

@@ -34,9 +34,9 @@
 //! leaves the cache otherwise. A chosen entry takes a free DeliWay, then
 //! the oldest guest's, then the FIFO head's, so guests always leave
 //! first and a chosen class keeps the lifetime the selector modelled.
-//! Guests never count as a class's DeliWays fills. With no class chosen
-//! (and [`KernelConfig::promote_on_deli_hit`], the default) the kernel
-//! is then exactly an LRU cache of its whole geometry.
+//! Guests never count as a class's DeliWays fills. A DeliWays hit
+//! promotes the entry back to the most recently used MainWay, so with no
+//! class chosen the kernel is exactly an LRU cache of its whole geometry.
 //!
 //! # Epoch flow
 //!
@@ -164,8 +164,8 @@ pub mod tracker;
 pub use class::InsertionClass;
 pub use config::{
     ConfigError, DeliAdmission, KernelConfig, SelectionStrategy, DEFAULT_DELI_WAYS,
-    DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS,
-    HISTOGRAM_BUCKETS, MAX_CANDIDATES,
+    DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS, HISTOGRAM_BUCKETS,
+    MAX_CANDIDATES, MONITOR_DEPTH,
 };
 pub use kernel::{
     ClassSnapshot, EpochInputs, EpochSummary, Evicted, Lookup, NucacheKernel, Region,

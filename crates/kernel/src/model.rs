@@ -17,10 +17,8 @@
 //!   leaves the cache when the set has neither a free DeliWay nor a
 //!   guest; under [`DeliAdmission::ChosenOnly`] it always leaves. The
 //!   entry it displaces leaves the cache;
-//! * a DeliWays hit with promotion moves the entry to the front of the
-//!   MainWays, no longer a guest, retiring the MainWays' last entry if
-//!   they are full; with refresh instead, it moves the entry to the
-//!   front of the DeliWays;
+//! * a DeliWays hit moves the entry to the front of the MainWays, no
+//!   longer a guest, retiring the MainWays' last entry if they are full;
 //! * a `remove` takes the entry out of either list.
 //!
 //! It shares nothing with the kernel's frames, rank rows, guest masks or
@@ -42,8 +40,6 @@ pub(crate) type DeliEntry<C> = (Entry<C>, bool);
 pub(crate) struct ReplacementModel<C> {
     main_ways: usize,
     deli_ways: usize,
-    promote: bool,
-    refresh: bool,
     /// Unchosen evictions enter the DeliWays as guests.
     guests: bool,
     /// MainWays entries per set, most recently used first.
@@ -76,15 +72,13 @@ fn deli_position<C>(list: &[DeliEntry<C>], key: u64) -> Option<usize> {
 }
 
 impl<C: Copy + Ord> ReplacementModel<C> {
-    /// An empty model of `config`'s geometry and hit modes, every list
-    /// allocated at its region's way count.
+    /// An empty model of `config`'s geometry and admission rule, every
+    /// list allocated at its region's way count.
     pub(crate) fn new(config: &KernelConfig) -> Self {
         let main_ways = config.ways - config.deli_ways;
         ReplacementModel {
             main_ways,
             deli_ways: config.deli_ways,
-            promote: config.promote_on_deli_hit,
-            refresh: config.deli_hit_refresh,
             guests: config.deli_admission == DeliAdmission::Guests,
             main: lists(config.sets, main_ways),
             deli: lists(config.sets, config.deli_ways),
@@ -166,17 +160,10 @@ impl<C: Copy + Ord> ReplacementModel<C> {
             return (Some(Region::Main), None);
         }
         let Some(i) = deli_position(&self.deli[set], key) else { return (None, None) };
-        if self.promote {
-            let (entry, _) = self.deli[set].remove(i);
-            let left = self.make_room(set);
-            push_newest(&mut self.main[set], entry);
-            return (Some(Region::Deli), left);
-        }
-        if self.refresh {
-            let entry = self.deli[set].remove(i);
-            push_newest(&mut self.deli[set], entry);
-        }
-        (Some(Region::Deli), None)
+        let (entry, _) = self.deli[set].remove(i);
+        let left = self.make_room(set);
+        push_newest(&mut self.main[set], entry);
+        (Some(Region::Deli), left)
     }
 
     /// A `put` of `key` with `class`. Returns the entry that left the
@@ -236,18 +223,13 @@ mod tests {
 
         /// Guests always leave first: an entry that entered the
         /// DeliWays as chosen leaves them only when its set holds no
-        /// guest, under every DeliWays hit mode and however the chosen
-        /// set changes.
+        /// guest, however the chosen set changes.
         #[test]
         fn no_chosen_entry_leaves_the_deliways_while_its_set_holds_a_guest(
             ops in prop::collection::vec(op_strategy(), 1..600),
             deli in 1usize..4,
-            promote in any::<bool>(),
-            refresh in any::<bool>(),
         ) {
             let mut config = KernelConfig::default().with_sets(2).with_ways(5).with_deli_ways(deli);
-            config.promote_on_deli_hit = promote;
-            config.deli_hit_refresh = refresh;
             config.deli_admission = DeliAdmission::Guests;
             let mut model = ReplacementModel::new(&config);
             for op in ops {

@@ -9,11 +9,12 @@
 //! Measuring Next-Use for every entry would be prohibitively expensive
 //! (the hardware design set-samples for the same reason), so the monitor
 //! observes one set in `2^sample_shift`: MainWays evictions there are
-//! recorded into a small circular buffer of `(tag, class,
+//! recorded into a circular buffer of [`MONITOR_DEPTH`] `(tag, class,
 //! eviction-time)` entries; when a later request in the same set matches
 //! a buffered tag, the elapsed set-access count is recorded into the
 //! evicting class's log2 histogram.
 
+use crate::config::{HISTOGRAM_BUCKETS, MONITOR_DEPTH};
 use alloc::collections::BTreeMap;
 use alloc::vec;
 use alloc::vec::Vec;
@@ -37,9 +38,9 @@ struct SetClock {
 /// Keys are the same raw `u64` keys the kernel is addressed with; the
 /// monitor splits them into set index (low `set_bits` bits) and tag.
 ///
-/// Each sampled set's buffer is a row of `depth` tags with an occupancy
-/// bitmask beside its pending `(class, evicted_at)` entries, so finding
-/// a buffered eviction is one [`eq_mask`] per 64 slots.
+/// Each sampled set's buffer is a row of [`MONITOR_DEPTH`] tags with a
+/// 64-bit occupancy mask beside its pending `(class, evicted_at)`
+/// entries, so finding a buffered eviction is one [`eq_mask`].
 ///
 /// # Examples
 ///
@@ -47,8 +48,8 @@ struct SetClock {
 /// use nucache_kernel::monitor::NextUseMonitor;
 /// use nucache_kernel::InsertionClass;
 ///
-/// // 16 sets (set_bits = 4), sample every set, 4-deep buffers.
-/// let mut m: NextUseMonitor<InsertionClass> = NextUseMonitor::new(4, 0, 4, 16);
+/// // 16 sets (set_bits = 4), sample every set.
+/// let mut m: NextUseMonitor<InsertionClass> = NextUseMonitor::new(4, 0);
 /// let key = 0x30;
 /// m.on_set_access(key);
 /// m.on_evict(key, InsertionClass::new(7));
@@ -60,19 +61,14 @@ struct SetClock {
 pub struct NextUseMonitor<C> {
     set_bits: u32,
     sample_shift: u32,
-    depth: usize,
-    /// Occupancy words per sampled set: `depth.div_ceil(64)`.
-    words: usize,
-    buckets: usize,
     clocks: Vec<SetClock>,
-    /// `depth` buffered tags per sampled set; a slot's tag counts only
-    /// while its occupancy bit is set.
+    /// [`MONITOR_DEPTH`] buffered tags per sampled set; a slot's tag
+    /// counts only while its occupancy bit is set.
     tags: Vec<u64>,
-    /// `words` occupancy words per sampled set, bit `i` of word `w` for
-    /// slot `64 * w + i`.
+    /// Occupancy mask per sampled set, bit `i` for slot `i`.
     occupied: Vec<u64>,
-    /// `depth` `(class, evicted_at)` entries per sampled set; `Some`
-    /// exactly where the occupancy bit is set.
+    /// [`MONITOR_DEPTH`] `(class, evicted_at)` entries per sampled set;
+    /// `Some` exactly where the occupancy bit is set.
     pending: Vec<Option<(C, u64)>>,
     /// Per-class histograms in a `BTreeMap`: consumers iterate these when
     /// building selection candidates, and class-ordered traversal keeps
@@ -87,28 +83,22 @@ pub struct NextUseMonitor<C> {
 
 impl<C: Copy + Ord + Debug> NextUseMonitor<C> {
     /// Creates a monitor over a cache with `2^set_bits` sets, sampling
-    /// one set in `2^sample_shift`, with per-set buffers of `depth`
-    /// entries and `buckets`-bucket histograms.
+    /// one set in `2^sample_shift`.
     ///
     /// # Panics
     ///
-    /// Panics if the sampling leaves no sets, or `depth` is zero.
-    pub fn new(set_bits: u32, sample_shift: u32, depth: usize, buckets: usize) -> Self {
+    /// Panics if the sampling leaves no sets.
+    pub fn new(set_bits: u32, sample_shift: u32) -> Self {
         let num_sets = 1usize << set_bits;
         let sampled = num_sets >> sample_shift;
         assert!(sampled > 0, "sampling eliminates every set");
-        assert!(depth > 0, "zero buffer depth");
-        let words = depth.div_ceil(64);
         NextUseMonitor {
             set_bits,
             sample_shift,
-            depth,
-            words,
-            buckets,
             clocks: vec![SetClock::default(); sampled],
-            tags: vec![0; sampled * depth],
-            occupied: vec![0; sampled * words],
-            pending: vec![None; sampled * depth],
+            tags: vec![0; sampled * MONITOR_DEPTH],
+            occupied: vec![0; sampled],
+            pending: vec![None; sampled * MONITOR_DEPTH],
             histograms: BTreeMap::new(),
             sampled_accesses: 0,
             recorded: 0,
@@ -151,26 +141,20 @@ impl<C: Copy + Ord + Debug> NextUseMonitor<C> {
     #[inline(never)]
     fn buffer(&mut self, i: usize, key: u64, class: C) {
         let at = self.clocks[i];
-        let slot = i * self.depth + at.next_slot;
+        let slot = i * MONITOR_DEPTH + at.next_slot;
         self.tags[slot] = key >> self.set_bits;
         self.pending[slot] = Some((class, at.clock));
-        self.occupied[i * self.words + at.next_slot / 64] |= 1 << (at.next_slot % 64);
-        self.clocks[i].next_slot = (at.next_slot + 1) % self.depth;
+        self.occupied[i] |= 1 << at.next_slot;
+        self.clocks[i].next_slot = (at.next_slot + 1) % MONITOR_DEPTH;
         self.recorded += 1;
     }
 
     /// The first occupied slot of sampled set `i` holding `tag`: one
-    /// compare per 64 slots of the set's tag row.
+    /// compare over the set's tag row.
     fn buffered(&self, i: usize, tag: u64) -> Option<usize> {
-        let row = &self.tags[i * self.depth..(i + 1) * self.depth];
-        let words = &self.occupied[i * self.words..(i + 1) * self.words];
-        for (w, (chunk, &occupied)) in row.chunks(64).zip(words).enumerate() {
-            let hits = eq_mask(chunk, tag) & occupied;
-            if hits != 0 {
-                return Some(64 * w + hits.trailing_zeros() as usize);
-            }
-        }
-        None
+        let row = &self.tags[i * MONITOR_DEPTH..(i + 1) * MONITOR_DEPTH];
+        let hits = eq_mask(row, tag) & self.occupied[i];
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
     }
 
     /// Reports that `key` was requested again after a MainWays eviction —
@@ -189,15 +173,14 @@ impl<C: Copy + Ord + Debug> NextUseMonitor<C> {
     #[inline(never)]
     fn next_use(&mut self, i: usize, key: u64) -> Option<(C, u64)> {
         let slot = self.buffered(i, key >> self.set_bits)?;
-        self.occupied[i * self.words + slot / 64] &= !(1 << (slot % 64));
-        let (class, evicted_at) = self.pending[i * self.depth + slot].take()?;
+        self.occupied[i] &= !(1 << slot);
+        let (class, evicted_at) = self.pending[i * MONITOR_DEPTH + slot].take()?;
         let distance = self.clocks[i].clock - evicted_at;
         self.matched += 1;
-        let buckets = self.buckets;
         self.histograms
             .entry(class)
             // audit:allow-alloc(lazy per-class histogram, bounded by live classes)
-            .or_insert_with(|| Log2Histogram::new(buckets))
+            .or_insert_with(|| Log2Histogram::new(HISTOGRAM_BUCKETS))
             .record(distance);
         Some((class, distance))
     }
@@ -261,7 +244,7 @@ mod tests {
 
     #[test]
     fn distance_counts_set_accesses_only() {
-        let mut m = NextUseMonitor::new(4, 0, 4, 16);
+        let mut m = NextUseMonitor::new(4, 0);
         let target = key_in_set(2, 7, 4);
         let other_set = key_in_set(3, 1, 4);
         m.on_set_access(target);
@@ -278,13 +261,13 @@ mod tests {
 
     #[test]
     fn unmatched_request_returns_none() {
-        let mut m: NextUseMonitor<InsertionClass> = NextUseMonitor::new(4, 0, 4, 16);
+        let mut m: NextUseMonitor<InsertionClass> = NextUseMonitor::new(4, 0);
         assert_eq!(m.on_next_use(key_in_set(0, 9, 4)), None);
     }
 
     #[test]
     fn entry_consumed_after_match() {
-        let mut m = NextUseMonitor::new(4, 0, 4, 16);
+        let mut m = NextUseMonitor::new(4, 0);
         let k = key_in_set(0, 9, 4);
         m.on_evict(k, class(1));
         assert!(m.on_next_use(k).is_some());
@@ -293,41 +276,47 @@ mod tests {
 
     #[test]
     fn circular_buffer_overwrites_oldest() {
-        let mut m = NextUseMonitor::new(4, 0, 2, 16);
+        let mut m = NextUseMonitor::new(4, 0);
         let k1 = key_in_set(0, 1, 4);
         let k2 = key_in_set(0, 2, 4);
         let k3 = key_in_set(0, 3, 4);
         m.on_evict(k1, class(1));
         m.on_evict(k2, class(2));
+        // Fill the rest of the buffer, so the next eviction wraps.
+        for tag in 100..100 + MONITOR_DEPTH as u64 - 2 {
+            m.on_evict(key_in_set(0, tag, 4), class(4));
+        }
         m.on_evict(k3, class(3)); // overwrites k1
         assert!(m.on_next_use(k1).is_none());
         assert!(m.on_next_use(k2).is_some());
         assert!(m.on_next_use(k3).is_some());
     }
 
-    /// A 100-deep buffer spans two occupancy words: matches in either
-    /// chunk are found, a duplicate tag matches its lower slot first, and
-    /// a wrapped buffer forgets the slot it overwrote.
+    /// A full buffer finds a match in any slot, the last one included; a
+    /// duplicate tag matches its lower slot first, and a wrapped buffer
+    /// forgets the slot it overwrote.
     #[test]
-    fn deep_buffer_matches_across_chunks() {
-        let mut m = NextUseMonitor::new(4, 0, 100, 16);
-        for tag in 0..100u64 {
+    fn every_slot_of_a_full_buffer_matches() {
+        let mut m = NextUseMonitor::new(4, 0);
+        let depth = MONITOR_DEPTH as u64;
+        for tag in 0..depth {
             m.on_evict(key_in_set(1, tag, 4), class(tag));
         }
-        assert_eq!(m.on_next_use(key_in_set(1, 90, 4)), Some((class(90), 0)));
-        assert_eq!(m.on_next_use(key_in_set(1, 90, 4)), None, "consumed");
+        let last = depth - 1;
+        assert_eq!(m.on_next_use(key_in_set(1, last, 4)), Some((class(last), 0)));
+        assert_eq!(m.on_next_use(key_in_set(1, last, 4)), None, "consumed");
         assert_eq!(m.on_next_use(key_in_set(1, 3, 4)), Some((class(3), 0)));
-        // Slot 0 is overwritten by tag 70, which is still buffered in slot 70.
-        m.on_evict(key_in_set(1, 70, 4), class(1000));
+        // Slot 0 is overwritten by tag 40, which is still buffered in slot 40.
+        m.on_evict(key_in_set(1, 40, 4), class(1000));
         assert_eq!(m.on_next_use(key_in_set(1, 0, 4)), None, "overwritten");
-        assert_eq!(m.on_next_use(key_in_set(1, 70, 4)), Some((class(1000), 0)));
-        assert_eq!(m.on_next_use(key_in_set(1, 70, 4)), Some((class(70), 0)));
+        assert_eq!(m.on_next_use(key_in_set(1, 40, 4)), Some((class(1000), 0)));
+        assert_eq!(m.on_next_use(key_in_set(1, 40, 4)), Some((class(40), 0)));
         assert_eq!(m.on_next_use(key_in_set(2, 5, 4)), None, "another set's buffer");
     }
 
     #[test]
     fn sampling_skips_unsampled_sets() {
-        let mut m = NextUseMonitor::new(4, 2, 4, 16); // sets 0,4,8,12 sampled
+        let mut m = NextUseMonitor::new(4, 2); // sets 0,4,8,12 sampled
         let sampled = key_in_set(4, 1, 4);
         let unsampled = key_in_set(5, 1, 4);
         m.on_set_access(sampled);
@@ -340,7 +329,7 @@ mod tests {
 
     #[test]
     fn histograms_accumulate_per_class() {
-        let mut m = NextUseMonitor::new(4, 0, 8, 16);
+        let mut m = NextUseMonitor::new(4, 0);
         let c = class(0x40);
         for tag in 0..5u64 {
             let k = key_in_set(0, 10 + tag, 4);
@@ -356,7 +345,7 @@ mod tests {
 
     #[test]
     fn decay_prunes_empty_histograms() {
-        let mut m = NextUseMonitor::new(4, 0, 4, 16);
+        let mut m = NextUseMonitor::new(4, 0);
         let k = key_in_set(0, 1, 4);
         m.on_evict(k, class(7));
         m.on_set_access(k);

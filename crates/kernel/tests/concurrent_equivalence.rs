@@ -122,15 +122,15 @@ proptest! {
     /// chosen-consulting operation, equals the inline path exactly —
     /// state, counters and telemetry.
     ///
-    /// Promotion is disabled because a DeliWays-hit promotion inside the
-    /// boundary access itself consults the chosen set before any
-    /// external driver can install (see `install_selection`'s staleness
-    /// contract); every other access path leaves a pump point.
+    /// Every `epoch_len`-th get, the one that crosses an epoch boundary,
+    /// misses on a fresh key: a DeliWays hit there would promote, and the
+    /// promotion consults the chosen set inside the boundary access
+    /// itself, before any external driver can install (see
+    /// `install_selection`'s staleness contract). Every other access
+    /// path leaves a pump point.
     #[test]
     fn deferred_selection_matches_inline(ops in stream()) {
-        let mut config = small_config(SelectionStrategy::CostBenefit);
-        config.promote_on_deli_hit = false;
-        config.deli_hit_refresh = true;
+        let config = small_config(SelectionStrategy::CostBenefit);
         let mut inline_k: NucacheKernel<u64> = NucacheKernel::init(config).expect("valid config");
         let mut deferred_k: NucacheKernel<u64> = NucacheKernel::init(config).expect("valid config");
         deferred_k.set_deferred_selection(true);
@@ -145,12 +145,15 @@ proptest! {
                 k.install_selection(inputs, selection);
             }
         };
+        let mut gets = 0;
         for &(key, c, remove) in &ops {
             if remove {
                 let a = inline_k.remove(key).map(|e| (e.key, e.value));
                 let b = deferred_k.remove(key).map(|e| (e.key, e.value));
                 prop_assert_eq!(a, b);
             } else {
+                gets += 1;
+                let key = if gets % config.epoch_len == 0 { (1 << 32) + gets } else { key };
                 let a = serial_access(&mut inline_k, key, c);
                 // Same demand access, but the install lands between the
                 // boundary get and the chosen-consulting put.

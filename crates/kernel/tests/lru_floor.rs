@@ -1,9 +1,9 @@
 //! The LRU floor: under guest admission with no class ever chosen, the
 //! kernel is exactly an LRU cache of its geometry.
 //!
-//! With `DeliAdmission::Guests`, `SelectionStrategy::None` and promotion
-//! on, every MainWays eviction enters the DeliWays as a guest and every
-//! DeliWays hit returns to the MainWays, so the MainWays in LRU order
+//! With `DeliAdmission::Guests` and `SelectionStrategy::None`, every
+//! MainWays eviction enters the DeliWays as a guest and every DeliWays
+//! hit returns to the MainWays, so the MainWays in LRU order
 //! followed by the DeliWays in FIFO order are one LRU stack of all the
 //! ways. Each test drives such a kernel and a `deli_ways = 0` kernel with
 //! the same sets and ways through one stream and requires every outcome
@@ -43,7 +43,7 @@ fn op_strategy(keys: u64) -> impl Strategy<Value = Op> {
 }
 
 /// A kernel of `sets` × `ways` with `deli` DeliWays that never chooses a
-/// class, promotes DeliWays hits and admits guests.
+/// class and admits guests.
 fn kernel(sets: usize, ways: usize, deli: usize) -> NucacheKernel<u64> {
     let config = KernelConfig {
         deli_admission: DeliAdmission::Guests,
@@ -54,7 +54,6 @@ fn kernel(sets: usize, ways: usize, deli: usize) -> NucacheKernel<u64> {
             .with_epoch_len(64)
             .with_strategy(SelectionStrategy::None)
     };
-    assert!(config.promote_on_deli_hit, "the floor needs promotion");
     NucacheKernel::init(config).expect("valid config")
 }
 

@@ -113,8 +113,8 @@ proptest! {
     // Fewer cases under Miri, to stay within the interpreter's budget.
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 64 }))]
 
-    /// Every selection strategy at 0-3 DeliWays, promotion on (the
-    /// default), epochs short enough to cross several boundaries.
+    /// Every selection strategy at 0-3 DeliWays, epochs short enough to
+    /// cross several boundaries.
     #[test]
     fn kernel_matches_model(
         steps in prop::collection::vec(step_strategy(96), 1..1500),
@@ -124,21 +124,6 @@ proptest! {
         guests in any::<bool>(),
     ) {
         run(small(8, 4, deli, epoch_len, guests).with_strategy(strategy), steps);
-    }
-
-    /// FIFO aging without promotion, with and without the second-chance
-    /// refresh.
-    #[test]
-    fn kernel_matches_model_fifo_modes(
-        steps in prop::collection::vec(step_strategy(64), 1..800),
-        refresh in any::<bool>(),
-        epoch_len in 40u64..160,
-        guests in any::<bool>(),
-    ) {
-        let mut config = small(4, 8, 3, epoch_len, guests);
-        config.promote_on_deli_hit = false;
-        config.deli_hit_refresh = refresh;
-        run(config, steps);
     }
 
     /// Sampled monitoring (shift > 0) and a bigger geometry.

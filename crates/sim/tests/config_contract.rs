@@ -11,8 +11,7 @@ use nucache_cache::CacheGeometry;
 use nucache_common::{AccessKind, CoreId, LineAddr, Pc};
 use nucache_kernel::{
     DeliAdmission, InsertionClass, KernelConfig, NucacheKernel, SelectionStrategy,
-    DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_DEPTH, DEFAULT_MONITOR_SHIFT,
-    DEFAULT_SETS, DEFAULT_WAYS,
+    DEFAULT_DELI_WAYS, DEFAULT_EPOCH_LEN, DEFAULT_MONITOR_SHIFT, DEFAULT_SETS, DEFAULT_WAYS,
 };
 use nucache_sim::config::{
     BASELINE_L1_BYTES, BASELINE_L1_WAYS, BASELINE_L2_BYTES, BASELINE_L2_WAYS,
@@ -66,7 +65,6 @@ fn kernel_defaults_match_simulator_design_point() {
     assert_eq!(BASELINE_LLC_WAYS - k.deli_ways, 8);
     assert_eq!(k.epoch_len, DEFAULT_EPOCH_LEN);
     assert_eq!(k.monitor_shift, DEFAULT_MONITOR_SHIFT);
-    assert_eq!(k.monitor_depth, DEFAULT_MONITOR_DEPTH);
 }
 
 /// The one policy default that is not the simulator's design point: the

@@ -142,7 +142,7 @@ proptest! {
     #[test]
     fn monitor_matches_bruteforce(evictions in prop::collection::vec((0u64..16, 0u64..4), 1..100)) {
         let set_bits = 2; // 4 sets
-        let mut monitor = nucache_kernel::NextUseMonitor::<Pc>::new(set_bits, 0, 64, 24);
+        let mut monitor = nucache_kernel::NextUseMonitor::<Pc>::new(set_bits, 0);
         // Brute-force reference: (line, clock_at_eviction) map per set.
         let mut reference: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         let mut clocks = [0u64; 4];
