@@ -4,7 +4,6 @@
 //! cargo run -p nucache-audit -- lint                   # the 3 workspace lints, text output
 //! cargo run -p nucache-audit -- lint --format json     # machine-readable, for CI
 //! cargo run -p nucache-audit -- lint --lint counter-dataflow
-//! cargo run -p nucache-audit -- lint --update-baseline # rewrite pub_baseline.txt
 //! cargo run -p nucache-audit -- effects                # hot-path contract gates
 //! cargo run -p nucache-audit -- effects --list         # per-function effect sets
 //! cargo run -p nucache-audit -- effects --update-justify # rewrite hotpath.txt stubs
@@ -49,7 +48,6 @@ fn usage() {
          \x20 --format text|json   output format (default text)\n\
          \x20 --root PATH          workspace root (default: this checkout)\n\
          \x20 --lint NAME          run only the named lint(s); repeatable\n\
-         \x20 --update-baseline    rewrite {BASELINE_REL} from current dead-pub findings\n\
          \x20 --update-justify     rewrite {HOTPATH_REL} (effects) or {CONCURRENCY_REL}\n\
          \x20                      (locks/atomics, both families) from current findings\n\
          \x20 --list               (effects) print per-function inferred effect sets\n\
@@ -82,7 +80,6 @@ struct Cli {
     format: String,
     root: PathBuf,
     only: Vec<String>,
-    update_baseline: bool,
     update_justify: bool,
     list_effects: bool,
 }
@@ -93,7 +90,6 @@ fn parse_args() -> Result<Option<Cli>, String> {
         format: String::from("text"),
         root: PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..").join(".."),
         only: Vec::new(),
-        update_baseline: false,
         update_justify: false,
         list_effects: false,
     };
@@ -125,7 +121,6 @@ fn parse_args() -> Result<Option<Cli>, String> {
                 Some(name) => return Err(format!("unknown lint {name:?} (see --help)")),
                 None => return Err("--lint takes a lint name".into()),
             },
-            "--update-baseline" => cli.update_baseline = true,
             "--update-justify" => cli.update_justify = true,
             "--list" => cli.list_effects = true,
             "--help" | "-h" => {
@@ -141,15 +136,6 @@ fn parse_args() -> Result<Option<Cli>, String> {
 /// `lint` subcommand body.
 fn run_lint(cli: &Cli) -> Result<ExitCode, String> {
     let ws = Workspace::load(&cli.root).map_err(|e| format!("scanning workspace: {e}"))?;
-
-    if cli.update_baseline {
-        let entries = dead_pub::current_entries(&ws).into_iter().map(|(k, _, _)| k).collect();
-        let path = cli.root.join(BASELINE_REL);
-        let body = Baseline::render(&entries);
-        std::fs::write(&path, body).map_err(|e| format!("writing {path:?}: {e}"))?;
-        eprintln!("wrote {} entries to {}", entries.len(), path.display());
-        return Ok(ExitCode::SUCCESS);
-    }
 
     let baseline =
         Baseline::load(&cli.root.join(BASELINE_REL)).map_err(|e| format!("baseline: {e}"))?;

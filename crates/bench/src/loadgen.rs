@@ -14,7 +14,7 @@
 //!
 //! * [`ConcurrentNucache`] — the sharded NUcache front-end with its
 //!   background epoch thread ([`run_nucache`]);
-//! * [`ShardedLru`] — a deliberately lean lock-striped, set-associative
+//! * `ShardedLru` — a deliberately lean lock-striped, set-associative
 //!   LRU with the same shard count and per-shard geometry
 //!   ([`run_striped_lru`]), so the comparison isolates the NUcache
 //!   mechanism cost (monitor, tracker, DeliWays) rather than
@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 /// Requests per batch: the unit of panic isolation (and fault
 /// injection).
-pub const BATCH_OPS: usize = 64;
+const BATCH_OPS: usize = 64;
 
 /// Latency histogram buckets: `2^40` ns ≈ 18 minutes, far beyond any
 /// single request.
@@ -163,7 +163,7 @@ impl LoadgenReport {
 /// it must panic, from inside a shard critical section when possible,
 /// so injected faults actually poison locks rather than only unwinding
 /// the worker.
-pub trait ServeCache: Sync {
+pub(crate) trait ServeCache: Sync {
     /// Looks up `key`; `true` on hit.
     fn fetch(&self, key: u64, class: InsertionClass) -> bool;
     /// Inserts the value for `key` after a miss.
@@ -205,8 +205,6 @@ struct LruShard {
     assoc: usize,
     set_mask: u64,
     stamp: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl LruShard {
@@ -219,11 +217,9 @@ impl LruShard {
         for (t, stamp, _) in self.ways[base..base + self.assoc].iter_mut().flatten() {
             if *t == tag {
                 *stamp = self.stamp;
-                self.hits += 1;
                 return true;
             }
         }
-        self.misses += 1;
         false
     }
 
@@ -260,7 +256,7 @@ impl LruShard {
 /// set-associative LRU shards, routed exactly like [`ConcurrentNucache`]
 /// ([`mix64`] then [`FastRange`]), with the same poisoned-lock
 /// recovery so fault-injected comparisons stay apples-to-apples.
-pub struct ShardedLru {
+pub(crate) struct ShardedLru {
     shards: Vec<Mutex<LruShard>>,
     route: FastRange,
     recoveries: AtomicU64,
@@ -268,7 +264,7 @@ pub struct ShardedLru {
 
 impl ShardedLru {
     /// `shards` stripes of `sets × ways` LRU entries.
-    pub fn new(shards: usize, sets: usize, ways: usize) -> Self {
+    pub(crate) fn new(shards: usize, sets: usize, ways: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(sets.is_power_of_two() && sets > 0, "sets must be a power of two");
         let shard = || LruShard {
@@ -276,8 +272,6 @@ impl ShardedLru {
             assoc: ways,
             set_mask: sets as u64 - 1,
             stamp: 0,
-            hits: 0,
-            misses: 0,
         };
         ShardedLru {
             shards: (0..shards).map(|_| Mutex::new(shard())).collect(),
@@ -293,18 +287,6 @@ impl ShardedLru {
             self.recoveries.fetch_add(1, Ordering::Relaxed);
             PoisonError::into_inner(poisoned)
         })
-    }
-
-    /// Total hits and misses across shards.
-    pub fn counters(&self) -> (u64, u64) {
-        let mut hits = 0;
-        let mut misses = 0;
-        for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            hits += s.hits;
-            misses += s.misses;
-        }
-        (hits, misses)
     }
 }
 
@@ -406,7 +388,7 @@ fn worker<C: ServeCache>(
 /// Drives `cache` with `cfg.threads` closed-loop workers and merges
 /// their tallies. `cache_label` names the report; epoch installs and
 /// poison recoveries are filled by the cache-specific wrappers.
-pub fn run_loadgen<C: ServeCache>(
+pub(crate) fn run_loadgen<C: ServeCache>(
     cache: &C,
     cfg: &LoadgenConfig,
     cache_label: &'static str,
@@ -530,8 +512,7 @@ mod tests {
 
     #[test]
     fn lru_shard_is_an_lru() {
-        let mut shard =
-            LruShard { ways: vec![None; 2], assoc: 2, set_mask: 0, stamp: 0, hits: 0, misses: 0 };
+        let mut shard = LruShard { ways: vec![None; 2], assoc: 2, set_mask: 0, stamp: 0 };
         assert!(!shard.lookup(1));
         shard.install(1, 10);
         assert!(!shard.lookup(2));

@@ -172,7 +172,7 @@ impl SetArray {
         arr
     }
 
-    /// Enables differential auditing: a [`ReferenceArray`] is seeded from
+    /// Enables differential auditing: a `ReferenceArray` is seeded from
     /// the current contents and every subsequent operation is replayed on
     /// it and cross-checked. Divergences panic at the faulting operation.
     pub fn enable_audit(&mut self) {

@@ -4,7 +4,7 @@
 //! path of every simulation; its bitmask tricks are exactly the kind of
 //! code where an off-by-one silently corrupts results instead of
 //! crashing. This module provides the textbook model to check it
-//! against: [`ReferenceArray`] stores one `Option<LineMeta>` per frame
+//! against: `ReferenceArray` stores one `Option<LineMeta>` per frame
 //! and implements the same contract with the most obvious code possible.
 //!
 //! When auditing is enabled (the `debug_invariants` cargo feature, a
@@ -37,22 +37,8 @@ pub struct AuditStats {
 /// Deliberately naive — this is the *specification* the optimized
 /// [`SetArray`](crate::SetArray) is differentially tested against, so it
 /// favours obviousness over speed everywhere.
-///
-/// # Examples
-///
-/// ```
-/// use nucache_cache::audit::ReferenceArray;
-/// use nucache_cache::{CacheGeometry, LineMeta};
-/// use nucache_common::{CoreId, Pc};
-///
-/// let geom = CacheGeometry::new(8 * 1024, 4, 64);
-/// let mut arr = ReferenceArray::new(geom);
-/// arr.fill(0, 2, LineMeta::new(7, CoreId::new(0), Pc::new(0), false));
-/// assert_eq!(arr.find(0, 7), Some(2));
-/// assert_eq!(arr.occupancy(0), 1);
-/// ```
 #[derive(Debug, Clone)]
-pub struct ReferenceArray {
+pub(crate) struct ReferenceArray {
     geom: CacheGeometry,
     /// Indexed `set * assoc + way`, exactly one frame per way.
     frames: Vec<Option<LineMeta>>,
@@ -60,7 +46,7 @@ pub struct ReferenceArray {
 
 impl ReferenceArray {
     /// Creates an empty reference array for the given geometry.
-    pub fn new(geom: CacheGeometry) -> Self {
+    pub(crate) fn new(geom: CacheGeometry) -> Self {
         ReferenceArray { geom, frames: vec![None; geom.num_lines()] }
     }
 
@@ -71,30 +57,30 @@ impl ReferenceArray {
     }
 
     /// Way holding `tag` in `set`, if resident (lowest way wins).
-    pub fn find(&self, set: usize, tag: u64) -> Option<usize> {
+    pub(crate) fn find(&self, set: usize, tag: u64) -> Option<usize> {
         (0..self.geom.associativity())
             .find(|&way| matches!(self.frames[self.idx(set, way)], Some(m) if m.tag == tag))
     }
 
     /// First invalid way in `set`, if any.
-    pub fn invalid_way(&self, set: usize) -> Option<usize> {
+    pub(crate) fn invalid_way(&self, set: usize) -> Option<usize> {
         (0..self.geom.associativity()).find(|&way| self.frames[self.idx(set, way)].is_none())
     }
 
     /// Number of valid lines in `set`.
-    pub fn occupancy(&self, set: usize) -> usize {
+    pub(crate) fn occupancy(&self, set: usize) -> usize {
         (0..self.geom.associativity())
             .filter(|&way| self.frames[self.idx(set, way)].is_some())
             .count()
     }
 
     /// Metadata at `(set, way)`.
-    pub fn get(&self, set: usize, way: usize) -> Option<LineMeta> {
+    pub(crate) fn get(&self, set: usize, way: usize) -> Option<LineMeta> {
         self.frames[self.idx(set, way)]
     }
 
     /// Writes `meta` into `(set, way)`, returning the displaced line.
-    pub fn fill(&mut self, set: usize, way: usize, meta: LineMeta) -> Option<EvictedLine> {
+    pub(crate) fn fill(&mut self, set: usize, way: usize, meta: LineMeta) -> Option<EvictedLine> {
         let i = self.idx(set, way);
         let old = self.frames[i].map(|m| self.to_evicted(set, m));
         self.frames[i] = Some(meta);
@@ -102,7 +88,7 @@ impl ReferenceArray {
     }
 
     /// Invalidates `(set, way)`, returning the line that was there.
-    pub fn invalidate(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
+    pub(crate) fn invalidate(&mut self, set: usize, way: usize) -> Option<EvictedLine> {
         let i = self.idx(set, way);
         let old = self.frames[i].map(|m| self.to_evicted(set, m));
         self.frames[i] = None;
@@ -114,7 +100,7 @@ impl ReferenceArray {
     /// # Panics
     ///
     /// Panics if the frame is invalid.
-    pub fn mark_dirty(&mut self, set: usize, way: usize) {
+    pub(crate) fn mark_dirty(&mut self, set: usize, way: usize) {
         let i = self.idx(set, way);
         #[expect(clippy::expect_used, reason = "documented precondition: the frame is valid")]
         let m = self.frames[i].as_mut().expect("marking an invalid frame dirty");
@@ -122,12 +108,12 @@ impl ReferenceArray {
     }
 
     /// Full line address of the line at `(set, way)`, if valid.
-    pub fn line_addr(&self, set: usize, way: usize) -> Option<nucache_common::LineAddr> {
+    pub(crate) fn line_addr(&self, set: usize, way: usize) -> Option<nucache_common::LineAddr> {
         self.frames[self.idx(set, way)].map(|m| self.geom.line_of(m.tag, set))
     }
 
     /// Total valid lines across all sets.
-    pub fn total_occupancy(&self) -> usize {
+    pub(crate) fn total_occupancy(&self) -> usize {
         self.frames.iter().filter(|f| f.is_some()).count()
     }
 
@@ -143,6 +129,15 @@ mod tests {
 
     fn meta(tag: u64) -> LineMeta {
         LineMeta::new(tag, CoreId::new(0), Pc::new(0), false)
+    }
+
+    #[test]
+    fn filled_way_is_found() {
+        let geom = CacheGeometry::new(8 * 1024, 4, 64);
+        let mut arr = ReferenceArray::new(geom);
+        arr.fill(0, 2, meta(7));
+        assert_eq!(arr.find(0, 7), Some(2));
+        assert_eq!(arr.occupancy(0), 1);
     }
 
     #[test]

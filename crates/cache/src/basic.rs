@@ -56,7 +56,7 @@ impl<P: ReplacementPolicy> BasicCache<P> {
     }
 
     /// Resets the counters (the contents stay).
-    pub fn clear_stats(&mut self) {
+    pub(crate) fn clear_stats(&mut self) {
         self.stats.clear();
     }
 
@@ -121,20 +121,22 @@ impl<P: ReplacementPolicy> BasicCache<P> {
         self.array.find(geom.set_of(line), geom.tag_of(line)).is_some()
     }
 
-    /// Removes a line if present, returning whether it was dirty.
-    pub fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
-        let geom = *self.array.geometry();
-        let set = geom.set_of(line);
-        let way = self.array.find(set, geom.tag_of(line))?;
-        #[expect(clippy::expect_used, reason = "`find` just returned this way, so it holds a line")]
-        let ev = self.array.invalidate(set, way).expect("found way is valid");
-        self.policy.on_invalidate(set, way, self.array.policy_row_mut(set));
-        Some(ev.dirty)
-    }
-
     /// Current number of resident lines.
     pub fn occupancy(&self) -> usize {
         self.array.total_occupancy()
+    }
+}
+
+#[cfg(test)]
+impl<P: ReplacementPolicy> BasicCache<P> {
+    /// Removes a line if present, returning whether it was dirty.
+    pub(crate) fn invalidate_line(&mut self, line: LineAddr) -> Option<bool> {
+        let geom = *self.array.geometry();
+        let set = geom.set_of(line);
+        let way = self.array.find(set, geom.tag_of(line))?;
+        let ev = self.array.invalidate(set, way).expect("found way is valid");
+        self.policy.on_invalidate(set, way, self.array.policy_row_mut(set));
+        Some(ev.dirty)
     }
 }
 

@@ -109,22 +109,6 @@ impl CacheGeometry {
     pub const fn line_of(&self, tag: u64, set: usize) -> LineAddr {
         LineAddr::from_tag_set(tag, set, self.set_bits)
     }
-
-    /// Returns a copy with a different associativity (same set count), the
-    /// transformation used when reserving DeliWays or building shadow
-    /// directories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `associativity` is zero.
-    pub fn with_associativity(&self, associativity: usize) -> CacheGeometry {
-        assert!(associativity > 0, "zero associativity");
-        CacheGeometry {
-            size_bytes: self.num_sets() as u64 * associativity as u64 * self.block_bytes as u64,
-            associativity,
-            ..*self
-        }
-    }
 }
 
 impl fmt::Display for CacheGeometry {
@@ -156,15 +140,6 @@ mod tests {
         let g = CacheGeometry::new(1024 * 1024, 8, 64);
         let line = LineAddr::new(0xabc_def0);
         assert_eq!(g.line_of(g.tag_of(line), g.set_of(line)), line);
-    }
-
-    #[test]
-    fn with_associativity_keeps_sets() {
-        let g = CacheGeometry::new(1024 * 1024, 16, 64);
-        let h = g.with_associativity(4);
-        assert_eq!(h.num_sets(), g.num_sets());
-        assert_eq!(h.associativity(), 4);
-        assert_eq!(h.size_bytes(), g.size_bytes() / 4);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 /// Which policy a set duels for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetRole {
+enum SetRole {
     /// Leader set hard-wired to policy A.
     LeaderA,
     /// Leader set hard-wired to policy B.
@@ -25,18 +25,8 @@ pub enum SetRole {
 /// *increment* PSEL, misses in B-leaders *decrement* it, and followers use
 /// policy B when PSEL is in its upper half (A is misbehaving) and A
 /// otherwise.
-///
-/// # Examples
-///
-/// ```
-/// use nucache_cache::dueling::{DuelingSelector, SetRole};
-/// let mut d = DuelingSelector::new(1024, 32, 10);
-/// assert_eq!(d.role(0), SetRole::LeaderA);
-/// for _ in 0..600 { d.record_miss(0); } // A-leaders missing a lot
-/// assert!(!d.a_wins());
-/// ```
 #[derive(Debug, Clone)]
-pub struct DuelingSelector {
+pub(crate) struct DuelingSelector {
     num_sets: usize,
     stride: usize,
     psel: u32,
@@ -51,7 +41,7 @@ impl DuelingSelector {
     ///
     /// Panics if `leaders_per_policy` is zero or too large for the set
     /// count, or if `psel_bits` is 0 or > 31.
-    pub fn new(num_sets: usize, leaders_per_policy: usize, psel_bits: u32) -> Self {
+    pub(crate) fn new(num_sets: usize, leaders_per_policy: usize, psel_bits: u32) -> Self {
         assert!(leaders_per_policy > 0, "need at least one leader per policy");
         assert!(2 * leaders_per_policy <= num_sets, "too many leader sets");
         assert!(psel_bits > 0 && psel_bits < 32, "psel_bits out of range");
@@ -61,7 +51,7 @@ impl DuelingSelector {
     }
 
     /// The dueling role of `set`.
-    pub fn role(&self, set: usize) -> SetRole {
+    fn role(&self, set: usize) -> SetRole {
         debug_assert!(set < self.num_sets);
         let offset = set % self.stride;
         if offset == 0 {
@@ -74,7 +64,7 @@ impl DuelingSelector {
     }
 
     /// Records a demand miss in `set`, updating PSEL if it is a leader.
-    pub fn record_miss(&mut self, set: usize) {
+    pub(crate) fn record_miss(&mut self, set: usize) {
         match self.role(set) {
             SetRole::LeaderA => self.psel = (self.psel + 1).min(self.psel_max),
             SetRole::LeaderB => self.psel = self.psel.saturating_sub(1),
@@ -83,28 +73,33 @@ impl DuelingSelector {
     }
 
     /// `true` when followers should use policy A (A-leaders miss less).
-    pub fn a_wins(&self) -> bool {
+    pub(crate) fn a_wins(&self) -> bool {
         self.psel <= self.psel_max / 2
     }
 
     /// Whether `set` should currently behave as policy A.
-    pub fn use_a(&self, set: usize) -> bool {
+    pub(crate) fn use_a(&self, set: usize) -> bool {
         match self.role(set) {
             SetRole::LeaderA => true,
             SetRole::LeaderB => false,
             SetRole::Follower => self.a_wins(),
         }
     }
-
-    /// Current PSEL value (for tests and introspection).
-    pub fn psel(&self) -> u32 {
-        self.psel
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_leader_misses_hand_followers_to_b() {
+        let mut d = DuelingSelector::new(1024, 32, 10);
+        assert_eq!(d.role(0), SetRole::LeaderA);
+        for _ in 0..600 {
+            d.record_miss(0); // A-leaders missing a lot
+        }
+        assert!(!d.a_wins());
+    }
 
     #[test]
     fn leader_counts_match() {
@@ -129,12 +124,12 @@ mod tests {
         for _ in 0..1000 {
             d.record_miss(0); // LeaderA misses
         }
-        assert_eq!(d.psel(), 15);
+        assert_eq!(d.psel, 15);
         assert!(!d.a_wins());
         for _ in 0..1000 {
             d.record_miss(8); // stride = 16, offset 8 => LeaderB misses
         }
-        assert_eq!(d.psel(), 0);
+        assert_eq!(d.psel, 0);
         assert!(d.a_wins());
     }
 
@@ -153,9 +148,9 @@ mod tests {
     #[test]
     fn follower_misses_ignored() {
         let mut d = DuelingSelector::new(64, 4, 4);
-        let before = d.psel();
+        let before = d.psel;
         d.record_miss(3);
-        assert_eq!(d.psel(), before);
+        assert_eq!(d.psel, before);
     }
 
     #[test]

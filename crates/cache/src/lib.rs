@@ -9,7 +9,7 @@
 //!   DIP, DRRIP, SHiP-PC, TADIP-F);
 //! * [`BasicCache`] — a policy-driven set-associative cache used for the
 //!   classic shared-LLC baselines;
-//! * set-dueling machinery ([`dueling::DuelingSelector`]);
+//! * set-dueling machinery for DIP and DRRIP;
 //! * sampled shadow tag directories and UCP's UMON utility monitor
 //!   ([`shadow`]);
 //! * a private L1/L2 [`hierarchy::PrivateHierarchy`] that filters the
@@ -37,9 +37,9 @@
 
 pub mod array;
 pub mod audit;
-pub mod basic;
+mod basic;
 pub mod config;
-pub mod dueling;
+mod dueling;
 pub mod hierarchy;
 pub mod llc;
 pub mod meta;
@@ -48,7 +48,7 @@ pub mod policy;
 pub mod shadow;
 
 pub use array::SetArray;
-pub use audit::{AuditStats, ReferenceArray};
+pub use audit::AuditStats;
 pub use basic::BasicCache;
 pub use config::CacheGeometry;
 pub use llc::{ClassicLlc, SharedLlc};

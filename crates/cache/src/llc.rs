@@ -60,7 +60,7 @@ pub trait SharedLlc {
 
     /// Enables (or disables) the differential audit oracle: while enabled,
     /// every tag-array operation is mirrored into a naive
-    /// [`ReferenceArray`](crate::audit::ReferenceArray) and cross-checked,
+    /// `ReferenceArray` and cross-checked,
     /// and organizations with epoch-level state (NUcache) additionally
     /// verify their epoch invariants. Divergences panic at the faulting
     /// operation.

@@ -17,7 +17,7 @@ use nucache_common::tags::{rank_oldest, rank_to_back, rank_touch};
 use nucache_common::DetRng;
 
 /// MRU-insertion probability used by BIP in the original proposal (1/32).
-pub const BIP_EPSILON: f64 = 1.0 / 32.0;
+pub(crate) const BIP_EPSILON: f64 = 1.0 / 32.0;
 
 /// Dynamic-insertion policy: set-duels LRU (policy A) against BIP
 /// (policy B).
@@ -43,11 +43,6 @@ impl Dip {
             epsilon: BIP_EPSILON,
             rng: DetRng::substream(seed, 0xd1b),
         }
-    }
-
-    /// Whether followers currently insert MRU (LRU policy winning).
-    pub fn lru_winning(&self) -> bool {
-        self.selector.a_wins()
     }
 }
 
@@ -103,7 +98,7 @@ mod tests {
                 }
             }
         }
-        assert!(!c.policy().lru_winning(), "thrash must drive DIP to BIP");
+        assert!(!c.policy().selector.a_wins(), "thrash must drive DIP to BIP");
         let hit_rate = c.stats().hit_rate();
         assert!(hit_rate > 0.1, "DIP should salvage hits under thrash, got {hit_rate}");
     }
@@ -118,7 +113,7 @@ mod tests {
                 c.access(LineAddr::new(n), AccessKind::Read, CoreId::new(0), Pc::new(1));
             }
         }
-        assert!(c.policy().lru_winning());
+        assert!(c.policy().selector.a_wins());
         assert!(c.stats().hit_rate() > 0.9);
     }
 }

@@ -18,13 +18,13 @@
 //! |---|---|---|
 //! | LRU | [`lru`] | classic |
 //! | DIP (duels LRU against BIP) | [`dip`] | Qureshi et al., ISCA 2007 |
-//! | DRRIP (duels SRRIP against BRRIP) | [`rrip`] | Jaleel et al., ISCA 2010 |
+//! | DRRIP (duels SRRIP against BRRIP) | [`Drrip`] | Jaleel et al., ISCA 2010 |
 //! | SHiP-PC | [`ship`] | Wu et al., MICRO 2011 (post-dates NUcache; extra comparison point) |
 //! | TADIP-F | [`tadip`] | Jaleel et al., PACT 2008 |
 
 pub mod dip;
 pub mod lru;
-pub mod rrip;
+mod rrip;
 pub mod ship;
 pub mod tadip;
 
@@ -90,12 +90,12 @@ pub(crate) mod testutil {
     use nucache_common::{AccessKind, LineAddr};
 
     /// 1-set geometry with the given associativity (64B blocks).
-    pub fn one_set(assoc: usize) -> CacheGeometry {
+    pub(crate) fn one_set(assoc: usize) -> CacheGeometry {
         CacheGeometry::new(64 * assoc as u64, assoc, 64)
     }
 
     /// Accesses line number `n` (sets are ignored: single-set geometry).
-    pub fn touch<P: ReplacementPolicy>(cache: &mut BasicCache<P>, n: u64) -> bool {
+    pub(crate) fn touch<P: ReplacementPolicy>(cache: &mut BasicCache<P>, n: u64) -> bool {
         cache.access(LineAddr::new(n), AccessKind::Read, CoreId::new(0), Pc::new(n)).is_hit()
     }
 }

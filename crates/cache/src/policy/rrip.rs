@@ -15,7 +15,7 @@ use crate::policy::{FillCtx, ReplacementPolicy};
 use nucache_common::DetRng;
 
 /// RRPV width used throughout (2 bits, as in the original evaluation).
-pub const RRPV_BITS: u32 = 2;
+const RRPV_BITS: u32 = 2;
 
 pub(crate) const RRPV_MAX: u8 = (1 << RRPV_BITS) - 1;
 
@@ -35,7 +35,7 @@ pub(crate) fn rrip_victim(row: &mut [u8]) -> usize {
 }
 
 /// Probability of a "long" insertion in BRRIP.
-pub const BRRIP_EPSILON: f64 = 1.0 / 32.0;
+const BRRIP_EPSILON: f64 = 1.0 / 32.0;
 
 /// Dynamic RRIP: set-duels SRRIP (A) against BRRIP (B). Each way's RRPV
 /// is its byte of the set's policy row.
@@ -53,11 +53,6 @@ impl Drrip {
             selector: DuelingSelector::new(geom.num_sets(), leaders, 10),
             rng: DetRng::substream(seed, 0xdd1b),
         }
-    }
-
-    /// Whether SRRIP is currently winning the duel.
-    pub fn srrip_winning(&self) -> bool {
-        self.selector.a_wins()
     }
 }
 
@@ -185,7 +180,7 @@ mod tests {
                 }
             }
         }
-        assert!(!c.policy().srrip_winning(), "thrash should favour BRRIP");
+        assert!(!c.policy().selector.a_wins(), "thrash should favour BRRIP");
         assert!(c.stats().hit_rate() > 0.1);
     }
 

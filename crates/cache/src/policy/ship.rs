@@ -39,7 +39,7 @@ pub struct ShipPc {
 }
 
 /// Entries in the signature history counter table (16K, as proposed).
-pub const SHCT_ENTRIES: usize = 16 * 1024;
+const SHCT_ENTRIES: usize = 16 * 1024;
 
 impl ShipPc {
     /// Creates SHiP-PC state for `geom`.
@@ -60,11 +60,6 @@ impl ShipPc {
         // Fold the PC; drop the low instruction-alignment bits.
         let x = pc.0 >> 2;
         ((x ^ (x >> 14) ^ (x >> 28)) & (SHCT_ENTRIES as u64 - 1)) as u16
-    }
-
-    /// Current predicted-reuse counter for a PC (for tests).
-    pub fn prediction_for(&self, pc: Pc) -> u8 {
-        self.shct[Self::signature(pc) as usize]
     }
 
     fn frame(&self, set: usize, way: usize) -> usize {
@@ -116,6 +111,14 @@ impl ReplacementPolicy for ShipPc {
 
     fn name(&self) -> &'static str {
         "ship-pc"
+    }
+}
+
+#[cfg(test)]
+impl ShipPc {
+    /// Current predicted-reuse counter for a PC.
+    fn prediction_for(&self, pc: Pc) -> u8 {
+        self.shct[Self::signature(pc) as usize]
     }
 }
 

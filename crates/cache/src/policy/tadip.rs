@@ -84,7 +84,7 @@ impl TadipF {
     ///
     /// PSEL convention: misses in the core's MRU-leader sets increment,
     /// misses in its BIP-leader sets decrement; low PSEL means MRU wins.
-    pub fn mru_preferred(&self, core: CoreId) -> bool {
+    fn mru_preferred(&self, core: CoreId) -> bool {
         self.psel[core.index()] <= self.psel_max / 2
     }
 

@@ -78,7 +78,7 @@ impl UtilityMonitor {
     }
 
     /// The sampling factor (counts scale by this when read).
-    pub fn scale(&self) -> u64 {
+    fn scale(&self) -> u64 {
         1 << self.sample_shift
     }
 
@@ -159,9 +159,12 @@ impl UtilityMonitor {
         self.misses /= 2;
         self.accesses /= 2;
     }
+}
 
+#[cfg(test)]
+impl UtilityMonitor {
     /// Clears counters (contents retained).
-    pub fn reset_counters(&mut self) {
+    fn reset_counters(&mut self) {
         self.hits_at_rank.iter_mut().for_each(|h| *h = 0);
         self.misses = 0;
         self.accesses = 0;

@@ -28,11 +28,6 @@ impl Addr {
     pub const fn line(self, block_bits: u32) -> LineAddr {
         LineAddr(self.0 >> block_bits)
     }
-
-    /// Returns the byte offset of this address within its block.
-    pub const fn block_offset(self, block_bits: u32) -> u64 {
-        self.0 & ((1 << block_bits) - 1)
-    }
 }
 
 impl From<u64> for Addr {
@@ -82,11 +77,6 @@ impl LineAddr {
     /// [`LineAddr::tag`] and [`LineAddr::set_index`].
     pub const fn from_tag_set(tag: u64, set: usize, set_bits: u32) -> Self {
         LineAddr((tag << set_bits) | set as u64)
-    }
-
-    /// The first byte address covered by this line.
-    pub const fn base_addr(self, block_bits: u32) -> Addr {
-        Addr(self.0 << block_bits)
     }
 }
 
@@ -168,12 +158,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addr_line_and_offset_roundtrip() {
+    fn addr_line_drops_block_bits() {
         let a = Addr::new(0xdead_beef);
-        let line = a.line(6);
-        assert_eq!(line.0, 0xdead_beef >> 6);
-        assert_eq!(a.block_offset(6), 0xdead_beef & 0x3f);
-        assert_eq!(line.base_addr(6).0 + a.block_offset(6), a.0);
+        assert_eq!(a.line(6).0, 0xdead_beef >> 6);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! * no `\uXXXX` escapes are emitted; the parser accepts the basic
 //!   escapes it could ever see from our own serializer plus `\u`.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed or buildable JSON value.
@@ -465,20 +464,6 @@ pub fn parse_jsonl(input: &str) -> Result<Vec<JsonValue>, String> {
         .collect()
 }
 
-/// Sorts an object's keys recursively (handy for order-insensitive
-/// comparisons in tests).
-pub fn canonicalize(v: &JsonValue) -> JsonValue {
-    match v {
-        JsonValue::Arr(items) => JsonValue::Arr(items.iter().map(canonicalize).collect()),
-        JsonValue::Obj(pairs) => {
-            let map: BTreeMap<String, JsonValue> =
-                pairs.iter().map(|(k, v)| (k.clone(), canonicalize(v))).collect();
-            JsonValue::Obj(map.into_iter().collect())
-        }
-        other => other.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,12 +580,5 @@ mod tests {
         let vals = parse_jsonl(lines).unwrap();
         assert_eq!(vals.len(), 2);
         assert!(parse_jsonl("{\"a\":1}\nnot json\n").is_err());
-    }
-
-    #[test]
-    fn canonicalize_sorts_keys() {
-        let a = parse(r#"{"b":1,"a":{"z":1,"y":2}}"#).unwrap();
-        let b = parse(r#"{"a":{"y":2,"z":1},"b":1}"#).unwrap();
-        assert_eq!(canonicalize(&a), canonicalize(&b));
     }
 }

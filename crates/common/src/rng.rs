@@ -77,17 +77,6 @@ impl DetRng {
         self.inner.random()
     }
 
-    /// Samples a geometric-ish gap: uniform in `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range");
-        self.inner.random_range(lo..=hi)
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -97,8 +86,7 @@ impl DetRng {
     }
 
     /// Uniform draw from a precomputed [`FastRange`] — bit-identical to
-    /// [`DetRng::below`] / [`DetRng::range_inclusive`] with the same
-    /// bounds, but without the per-draw hardware division. Hot loops that
+    /// [`DetRng::below`] with the same bound, but without the per-draw hardware division. Hot loops that
     /// draw from a fixed range repeatedly (trace generation) precompute
     /// the range once and use this.
     #[inline]
@@ -130,8 +118,8 @@ pub fn mix64(x: u64) -> u64 {
 ///
 /// The reduction is exact — `reduce(x) == x % span` for every `x` — so
 /// [`DetRng::draw`] consumes and produces the very same values as the
-/// division-based helpers ([`DetRng::below`], [`DetRng::range_inclusive`])
-/// and can replace them without perturbing any stream.
+/// division-based helper [`DetRng::below`] and can replace it without
+/// perturbing any stream.
 ///
 /// # Examples
 ///
@@ -139,9 +127,9 @@ pub fn mix64(x: u64) -> u64 {
 /// use nucache_common::{DetRng, FastRange};
 /// let mut a = DetRng::seed(7);
 /// let mut b = DetRng::seed(7);
-/// let gap = FastRange::inclusive(2, 9);
+/// let bound = FastRange::below(8);
 /// for _ in 0..100 {
-///     assert_eq!(a.draw(&gap), b.range_inclusive(2, 9));
+///     assert_eq!(a.draw(&bound), b.below(8));
 /// }
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -164,7 +152,7 @@ impl FastRange {
         Self::inclusive(0, bound - 1)
     }
 
-    /// Range `[lo, hi]`, matching [`DetRng::range_inclusive`].
+    /// Range `[lo, hi]`.
     ///
     /// # Panics
     ///
@@ -205,6 +193,19 @@ impl FastRange {
         } else {
             r
         }
+    }
+}
+
+#[cfg(test)]
+impl DetRng {
+    /// Samples a geometric-ish gap: uniform in `[lo, hi]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
+        assert!(lo <= hi, "empty range");
+        self.inner.random_range(lo..=hi)
     }
 }
 
@@ -272,7 +273,7 @@ mod tests {
                 assert_eq!(a.draw(&fast), b.below(bound), "bound {bound}");
             }
         }
-        for (lo, hi) in [(0u64, 0u64), (2, 4), (5, 5), (100, 1 << 40), (0, u64::MAX)] {
+        for (lo, hi) in [(0u64, 0u64), (2, 4), (2, 9), (5, 5), (100, 1 << 40), (0, u64::MAX)] {
             let mut a = DetRng::seed(17);
             let mut b = DetRng::seed(17);
             let fast = FastRange::inclusive(lo, hi);

@@ -55,11 +55,6 @@ impl CacheStats {
         ratio(self.hits, self.accesses())
     }
 
-    /// Miss rate in `[0,1]`; 0 for an untouched cache.
-    pub fn miss_rate(&self) -> f64 {
-        ratio(self.misses, self.accesses())
-    }
-
     /// Misses per kilo-instruction given an instruction count.
     pub fn mpki(&self, instructions: u64) -> f64 {
         if instructions == 0 {
@@ -100,7 +95,7 @@ impl fmt::Display for CacheStats {
 }
 
 /// `num / den` as `f64`, 0 when the denominator is 0.
-pub fn ratio(num: u64, den: u64) -> f64 {
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {
@@ -147,7 +142,6 @@ mod tests {
     fn rates_zero_on_empty() {
         let s = CacheStats::default();
         assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.miss_rate(), 0.0);
         assert_eq!(s.mpki(0), 0.0);
     }
 
@@ -163,7 +157,6 @@ mod tests {
         assert_eq!(s.misses, 2);
         assert_eq!(s.evictions, 2);
         assert_eq!(s.writebacks, 1);
-        assert!((s.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl Table {
     }
 
     /// Renders as CSV (commas and quotes in cells are escaped).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let emit = |out: &mut String, cells: &[String]| {
             for (i, cell) in cells.iter().enumerate() {
@@ -140,11 +140,6 @@ pub fn f3(v: f64) -> String {
 /// Formats a float with 2 decimal places.
 pub fn f2(v: f64) -> String {
     format!("{v:.2}")
-}
-
-/// Formats a ratio as a percentage with 1 decimal place, e.g. `9.6%`.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
 }
 
 #[cfg(test)]
@@ -204,6 +199,5 @@ mod tests {
     fn formatters() {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(f2(1.23456), "1.23");
-        assert_eq!(pct(0.096), "9.6%");
     }
 }

@@ -175,7 +175,7 @@ fn opt_u64_json(v: Option<u64>) -> JsonValue {
 
 impl Event {
     /// The stable `type` tag this event serializes under.
-    pub const fn type_name(&self) -> &'static str {
+    pub(crate) const fn type_name(&self) -> &'static str {
         match self {
             Event::RunStart { .. } => "run_start",
             Event::LlcEpoch { .. } => "llc_epoch",
@@ -398,12 +398,6 @@ impl CounterSink {
     pub fn total(&self) -> u64 {
         self.run_starts + self.llc_epochs + self.selection_epochs + self.run_ends
     }
-
-    /// Number of epochs whose chosen set differed from the previous
-    /// epoch's (selection churn).
-    pub fn transitions(&self) -> u64 {
-        self.chosen_history.windows(2).filter(|w| w[0] != w[1]).count() as u64
-    }
 }
 
 impl EventSink for CounterSink {
@@ -512,6 +506,15 @@ impl<W: Write> EventSink for JsonlSink<W> {
         }
         self.lines += 1;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl CounterSink {
+    /// Number of epochs whose chosen set differed from the previous
+    /// epoch's (selection churn).
+    fn transitions(&self) -> u64 {
+        self.chosen_history.windows(2).filter(|w| w[0] != w[1]).count() as u64
     }
 }
 

@@ -80,16 +80,6 @@ impl MultiProgramMetrics {
     }
 }
 
-/// Relative improvement of `ours` over `baseline` for a higher-is-better
-/// metric (e.g. weighted speedup): `ours / baseline - 1`.
-pub fn improvement(ours: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 {
-        0.0
-    } else {
-        ours / baseline - 1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,13 +101,6 @@ mod tests {
         assert!((m.antt - (2.0 + 1.0) / 2.0).abs() < 1e-12);
         assert!((m.fairness - 0.5).abs() < 1e-12);
         assert!((m.throughput - 1.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn improvement_math() {
-        assert!((improvement(1.1, 1.0) - 0.1).abs() < 1e-12);
-        assert!((improvement(0.9, 1.0) + 0.1).abs() < 1e-12);
-        assert_eq!(improvement(1.0, 0.0), 0.0);
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl CoreClock {
         }
     }
 
-    /// Whether the snapshot has been frozen.
-    pub const fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
-    }
-
     /// Cycles at the freeze point (live value if never frozen).
     pub fn measured_cycles(&self) -> u64 {
         self.frozen.map_or(self.cycles, |(c, _)| c)
@@ -157,7 +152,7 @@ mod tests {
         assert_eq!(c.instructions(), 20);
         c.freeze(); // no-op
         assert_eq!(c.measured_instructions(), 10);
-        assert!(c.is_frozen());
+        assert!(c.frozen.is_some());
     }
 
     #[test]
@@ -175,7 +170,7 @@ mod tests {
         c.freeze();
         c.reset();
         assert_eq!(c.cycles(), 0);
-        assert!(!c.is_frozen());
+        assert!(c.frozen.is_none());
         assert_eq!(c.ipc(), 0.0);
     }
 }

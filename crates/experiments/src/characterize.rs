@@ -20,7 +20,7 @@ use nucache_trace::{SpecWorkload, TraceGen};
 /// of Fig. 2 are as dense as possible; selection runs with the default
 /// cost-benefit strategy so Fig. 1/2 reflect steady-state behaviour.
 #[expect(clippy::cast_possible_truncation, reason = "access budgets are far below usize::MAX")]
-pub fn characterize(workload: SpecWorkload, accesses: u64, config: &SimConfig) -> NuCache {
+pub(crate) fn characterize(workload: SpecWorkload, accesses: u64, config: &SimConfig) -> NuCache {
     let nucache_config = KernelConfig { monitor_shift: 0, ..KernelConfig::default() };
     let mut llc = NuCache::new(config.llc, 1, nucache_config);
     let core = CoreId::new(0);

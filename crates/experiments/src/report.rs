@@ -14,48 +14,48 @@ use std::path::Path;
 
 /// One NUcache selection epoch, reduced to timeline columns.
 #[derive(Debug, Clone)]
-pub struct SelEpochRow {
+struct SelEpochRow {
     /// Epoch number (as reported by the scheme).
-    pub epoch: u64,
+    epoch: u64,
     /// Size of the chosen delinquent-PC set.
-    pub chosen: usize,
+    chosen: usize,
     /// PCs newly chosen relative to the previous epoch.
-    pub added: usize,
+    added: usize,
     /// PCs dropped relative to the previous epoch.
-    pub dropped: usize,
+    dropped: usize,
     /// DeliWays hits during the epoch's window.
-    pub deli_hits: u64,
+    deli_hits: u64,
     /// DeliWays fills during the epoch's window.
-    pub deli_fills: u64,
+    deli_fills: u64,
     /// Valid DeliWays lines at the snapshot.
-    pub occupancy: u64,
+    occupancy: u64,
     /// Total DeliWays lines.
-    pub capacity: u64,
+    capacity: u64,
     /// Expected DeliWays hits the selector projected for the epoch.
-    pub expected_hits: u64,
+    expected_hits: u64,
 }
 
 /// Everything the report needs from one JSONL stream.
 #[derive(Debug, Clone)]
-pub struct StreamSummary {
+struct StreamSummary {
     /// Stream file name.
-    pub file: String,
+    file: String,
     /// Mix simulated.
-    pub mix: String,
+    mix: String,
     /// Scheme name.
-    pub scheme: String,
+    scheme: String,
     /// `llc_epoch` snapshots seen in the measurement stage.
-    pub measure_epochs: u64,
+    measure_epochs: u64,
     /// Selection-epoch timeline (empty for non-NUcache schemes).
-    pub selection: Vec<SelEpochRow>,
+    selection: Vec<SelEpochRow>,
     /// Selection churn: epochs whose chosen set differed from the
     /// previous epoch's (the same definition as
     /// `CounterSink::transitions`).
-    pub churn: u64,
+    churn: u64,
     /// Final aggregate LLC hit rate.
-    pub hit_rate: f64,
+    hit_rate: f64,
     /// Final per-core IPCs.
-    pub ipcs: Vec<f64>,
+    ipcs: Vec<f64>,
 }
 
 /// Parses one JSONL stream file into events.
@@ -64,7 +64,7 @@ pub struct StreamSummary {
 ///
 /// Returns an error when the file is unreadable, a line is not valid
 /// JSON, or a line is not a recognized event.
-pub fn load_events(path: &Path) -> Result<Vec<Event>, String> {
+fn load_events(path: &Path) -> Result<Vec<Event>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let values =
@@ -81,7 +81,7 @@ pub fn load_events(path: &Path) -> Result<Vec<Event>, String> {
 }
 
 /// Reduces one stream's events to the report's summary form.
-pub fn summarize(file: &str, events: &[Event]) -> StreamSummary {
+fn summarize(file: &str, events: &[Event]) -> StreamSummary {
     let mut summary = StreamSummary {
         file: file.to_string(),
         mix: String::new(),

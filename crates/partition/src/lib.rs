@@ -13,7 +13,7 @@
 //! * TADIP-F and the plain LRU baseline, available through
 //!   [`baselines`]'s constructors (they are thin wrappers over the cache
 //!   crate's policy machinery).
-//! * [`lookahead`] — the marginal-utility partitioning algorithm itself,
+//! * [`lookahead_partition`] — the marginal-utility partitioning algorithm itself,
 //!   exposed separately so tests and experiments can probe it directly.
 //!
 //! # Examples
@@ -33,7 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod lookahead;
+mod lookahead;
 pub mod pipp;
 pub mod ucp;
 

@@ -18,10 +18,10 @@ use nucache_common::{AccessKind, CacheStats, CoreId, DetRng, LineAddr, Pc};
 
 /// Single-step promotion probability on a hit (value from the original
 /// proposal).
-pub const PROMOTION_PROB: f64 = 0.75;
+const PROMOTION_PROB: f64 = 0.75;
 
 /// Shadow hit-rate below which a core is treated as streaming.
-pub const STREAM_UTILITY_THRESHOLD: f64 = 0.02;
+const STREAM_UTILITY_THRESHOLD: f64 = 0.02;
 
 /// A PIPP-managed shared LLC.
 ///
@@ -90,16 +90,6 @@ impl PippLlc {
     /// Current per-core way targets.
     pub fn allocations(&self) -> &[usize] {
         &self.alloc
-    }
-
-    /// Which cores are currently classified streaming.
-    pub fn streaming_flags(&self) -> &[bool] {
-        &self.streaming
-    }
-
-    /// Number of repartitions performed so far.
-    pub const fn repartitions(&self) -> u64 {
-        self.repartitions
     }
 
     /// Insertion distance from the LRU end for `core`: a core with
@@ -266,13 +256,13 @@ mod tests {
         for round in 0..30_000u64 {
             read(&mut llc, 0, round % 128); // loop over 128 lines (2/set)
             read(&mut llc, 1, (1 << 20) + round); // fresh line every round
-            if llc.repartitions() >= 2 {
+            if llc.repartitions >= 2 {
                 break;
             }
         }
-        assert!(llc.repartitions() >= 2);
-        assert!(llc.streaming_flags()[1], "streamer must be classified");
-        assert!(!llc.streaming_flags()[0], "reuser must not be classified streaming");
+        assert!(llc.repartitions >= 2);
+        assert!(llc.streaming[1], "streamer must be classified");
+        assert!(!llc.streaming[0], "reuser must not be classified streaming");
         assert!(llc.allocations()[0] > llc.allocations()[1]);
     }
 

@@ -78,11 +78,6 @@ impl UcpLlc {
         &self.alloc
     }
 
-    /// Number of repartitions performed so far.
-    pub const fn repartitions(&self) -> u64 {
-        self.repartitions
-    }
-
     fn geometry_copy(&self) -> CacheGeometry {
         *self.array.geometry()
     }
@@ -259,11 +254,11 @@ mod tests {
                 read(&mut llc, 1, stream_line);
                 stream_line += 1;
             }
-            if llc.repartitions() > 2 {
+            if llc.repartitions > 2 {
                 break;
             }
         }
-        assert!(llc.repartitions() >= 1);
+        assert!(llc.repartitions >= 1);
         assert!(
             llc.allocations()[0] >= 4,
             "reuse-heavy core should win ways: {:?}",

@@ -191,7 +191,7 @@ pub fn run_mix_on(config: &SimConfig, mix: &Mix, llc: &mut dyn SharedLlc) -> Sim
 ///
 /// Panics if the mix's core count differs from the config's, or
 /// `snapshot_interval` is zero while the sink is enabled.
-pub fn run_mix_on_sink(
+pub(crate) fn run_mix_on_sink(
     config: &SimConfig,
     mix: &Mix,
     llc: &mut dyn SharedLlc,

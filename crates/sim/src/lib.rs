@@ -88,8 +88,8 @@ pub mod telemetry;
 
 pub use config::SimConfig;
 pub use driver::{
-    run_mix, run_mix_audited, run_mix_nucache, run_mix_on, run_mix_on_sink, run_mix_telemetry,
-    run_solo, take_simulated_accesses, CoreResult, SimResult,
+    run_mix, run_mix_audited, run_mix_nucache, run_mix_on, run_mix_telemetry, run_solo,
+    take_simulated_accesses, CoreResult, SimResult,
 };
 pub use nucache_cache::AuditStats;
 pub use nucache_common::fault::{FaultPlan, FaultSite};

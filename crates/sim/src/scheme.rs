@@ -144,7 +144,7 @@ pub(crate) use with_built;
 
 impl BuiltLlc {
     /// Erases the concrete type into a `Box<dyn SharedLlc>`.
-    pub fn boxed(self) -> Box<dyn SharedLlc> {
+    pub(crate) fn boxed(self) -> Box<dyn SharedLlc> {
         with_built!(self, l => Box::new(l))
     }
 }

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 /// Default accesses between periodic LLC counter snapshots — matches the
 /// default NUcache selection epoch, so `llc_epoch` and `selection_epoch`
 /// events interleave at comparable cadence.
-pub const DEFAULT_SNAPSHOT_INTERVAL: u64 = 100_000;
+pub(crate) const DEFAULT_SNAPSHOT_INTERVAL: u64 = 100_000;
 
 /// One failed pipeline unit — a simulation job that panicked, or an
 /// experiment step that aborted — recorded for the run manifest's

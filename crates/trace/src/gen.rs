@@ -76,7 +76,6 @@ pub struct TraceGen {
     gap_pick: FastRange,
     phase: usize,
     phase_left: u64,
-    emitted: u64,
 }
 
 impl TraceGen {
@@ -120,7 +119,6 @@ impl TraceGen {
             gap_pick,
             phase: 0,
             phase_left,
-            emitted: 0,
         }
     }
 
@@ -129,18 +127,8 @@ impl TraceGen {
         self.core
     }
 
-    /// The workload name.
-    pub fn workload_name(&self) -> &str {
-        &self.spec.name
-    }
-
-    /// Accesses emitted so far.
-    pub const fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
     /// PC assigned to global site index `i` (before core globalization).
-    pub fn site_pc(i: usize) -> Pc {
+    fn site_pc(i: usize) -> Pc {
         Pc::new(0x40_0000 + 0x10 * i as u64)
     }
 
@@ -189,7 +177,6 @@ impl TraceGen {
                     .with_mlp(Self::mlp_of(site.behavior));
             }
             self.phase_left -= run as u64;
-            self.emitted += run as u64;
             idx += run;
         }
     }
@@ -289,7 +276,6 @@ impl Iterator for TraceGen {
         let gap = self.rng.draw(&self.gap_pick) as u32;
         let pc = Self::site_pc(global_idx).globalize(self.core);
         self.phase_left -= 1;
-        self.emitted += 1;
         Some(
             Access::with_gap(self.core, pc, Addr::new(line << BLOCK_BITS), kind, gap)
                 .with_mlp(Self::mlp_of(site.behavior)),

@@ -3,7 +3,7 @@
 //! Each workload models the *memory behaviour class* of a well-known SPEC
 //! CPU benchmark — the names carry a `*_like` suffix because they are
 //! synthetic stand-ins, not the benchmarks themselves (see DESIGN.md §3).
-//! Working-set sizes are expressed relative to [`REF_LLC_LINES`], the
+//! Working-set sizes are expressed relative to `REF_LLC_LINES`, the
 //! 1 MiB reference LLC used throughout the evaluation, and stay *fixed*
 //! across experiments so cache-size sweeps mean something.
 //!
@@ -20,7 +20,7 @@ use crate::workload::{Behavior, SiteSpec, WorkloadSpec};
 
 /// Lines in the 1 MiB / 64 B reference LLC that workload footprints are
 /// scaled against.
-pub const REF_LLC_LINES: u64 = 16 * 1024;
+const REF_LLC_LINES: u64 = 16 * 1024;
 
 #[expect(clippy::cast_possible_truncation, reason = "footprint factors are small and positive")]
 fn scaled(factor: f64) -> u64 {

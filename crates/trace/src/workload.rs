@@ -49,7 +49,7 @@ impl Behavior {
     }
 
     /// Short label for tables.
-    pub const fn kind_name(&self) -> &'static str {
+    const fn kind_name(&self) -> &'static str {
         match self {
             Behavior::Stream { .. } => "stream",
             Behavior::Loop { .. } => "loop",
